@@ -33,15 +33,12 @@ __all__ = [
     "KnnModel",
     "fit_base",
     "fit_lda",
-    "predict_lda",
     "predict_lda_many",
     "lda_closed_form_test_error",
     "fit_qda",
-    "predict_qda",
     "predict_qda_many",
     "qda_loo_labels",
     "fit_knn",
-    "predict_knn",
     "predict_knn_many",
     "knn_loo_labels",
     "default_knn_k",
@@ -163,10 +160,6 @@ def predict_lda_many(model, Z):
     return np.where(_lda_discriminant(model, Z) >= 0.0, 1, 2).astype(np.int64)
 
 
-def predict_lda(model, z) -> int:
-    return int(predict_lda_many(model, np.asarray(z, dtype=np.float64)[None, :])[0])
-
-
 def lda_closed_form_test_error(model, pi_1, mu_1, mu_2, sigma) -> float:
     """Exact test error of a fitted linear rule under Gaussian class laws.
 
@@ -269,10 +262,6 @@ def predict_qda_many(model, Z):
     return np.where(_qda_discriminant(model, Z) >= 0.0, 1, 2).astype(np.int64)
 
 
-def predict_qda(model, z) -> int:
-    return int(predict_qda_many(model, np.asarray(z, dtype=np.float64)[None, :])[0])
-
-
 _LOO_PIVOT_TOL = 1e-12
 
 
@@ -369,7 +358,7 @@ def _qda_loo_refit_point(Z, y, i, d, counts):
         model = fit_qda(Z[keep], y[keep])
     except (SingularCovarianceError, InvalidDimensionError, MissingClassError):
         return 0, True
-    return int(predict_qda(model, Z[i])), False
+    return int(predict_qda_many(model, Z[i][None, :])[0]), False
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +457,6 @@ def predict_knn_many(model, Z):
     D = cdist(Z, model.points, "sqeuclidean")
     counts = _knn_class1_counts(D, model.labels, k, model.tie_seed, model.point_ids, Z)
     return np.where(2 * counts >= k, 1, 2).astype(np.int64)
-
-
-def predict_knn(model, z) -> int:
-    return int(predict_knn_many(model, np.asarray(z, dtype=np.float64)[None, :])[0])
 
 
 def knn_loo_labels(Z, y, k, tie_seed=0, point_ids=None):

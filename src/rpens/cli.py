@@ -21,9 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from . import base_classifiers as bc
 from . import datagen as dg
 from . import ensemble as en
+from . import error_estimation as ee
 from . import evaluation as ev
+from . import projections as pj
 from . import serialize as sz
 from .errors import (
     BlockFailureError,
@@ -99,18 +102,18 @@ def _add_model_flags(sp, with_n=True):
 def _add_ensemble_flags(sp, require_d=True, defaults=True):
     sp.add_argument("--d", type=int, required=require_d,
                     default=None, help="projected dimension")
-    sp.add_argument("--base", choices=en.BASE_KINDS,
+    sp.add_argument("--base", choices=bc.BASE_KINDS,
                     default="lda" if defaults else None, help="base classifier")
     sp.add_argument("--B1", type=int, default=100 if defaults else None,
                     help="number of blocks")
     sp.add_argument("--B2", type=int, default=100 if defaults else None,
                     help="projections per block")
-    sp.add_argument("--estimator", choices=("resubstitution", "leave_one_out", "sample_split"),
+    sp.add_argument("--estimator", choices=ee.ESTIMATORS,
                     default=None, help="test-error estimator (default: pairing by base)")
     sp.add_argument("--alpha", type=float, default=None,
                     help="fixed voting threshold in (0,1); default data-driven")
     sp.add_argument("--knn-k", type=int, default=None, help="neighbour count for base knn")
-    sp.add_argument("--projection", choices=en.PROJECTION_KINDS,
+    sp.add_argument("--projection", choices=pj.KINDS,
                     default="haar" if defaults else None, help="projection distribution")
 
 

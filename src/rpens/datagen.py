@@ -281,9 +281,9 @@ def load_labelled_csv(path) -> LabelledSample:
     """Read a labelled dataset from CSV.
 
     Schema: UTF-8, a header row whose first column is named ``label``,
-    labels in {1, 2} in the first column, and at least one numeric
-    feature column with '.' as the decimal mark. Lines starting with
-    '#' are ignored, so files written by this package read back in.
+    labels in {1, 2} in the first column, and at least one feature
+    column of finite numbers with '.' as the decimal mark. Lines starting
+    with '#' are ignored, so files written by this package read back in.
     Violations raise DataFormatError naming the offending line.
     """
     rows = []
@@ -330,4 +330,12 @@ def load_labelled_csv(path) -> LabelledSample:
                 raise DataFormatError(
                     f"{path}:{line_no}: non-numeric value {cell!r} in column {header[j + 1]!r}"
                 )
+    # float() accepts 'nan' and 'inf'; one check after the loop finds them.
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        line_no, row = rows[i]
+        raise DataFormatError(
+            f"{path}:{line_no}: non-finite value {row[j + 1]!r} in column {header[j + 1]!r}"
+        )
     return LabelledSample(X=X, y=y)

@@ -26,6 +26,7 @@ from . import error_estimation as ee
 from . import projections as pj
 from .errors import (
     BlockFailureError,
+    DataFormatError,
     DegenerateVotesError,
     EstimationFailureError,
     InvalidDimensionError,
@@ -34,9 +35,6 @@ from .errors import (
     SingularCovarianceError,
 )
 from .rng import derive_int, make_rng
-
-BASE_KINDS = ("lda", "qda", "knn")
-PROJECTION_KINDS = ("haar", "axis_aligned")
 
 # Seed-stream tags.  Every consumer of randomness under one (b1, b2) cell
 # gets its own trailing tag so streams can never alias.
@@ -74,9 +72,9 @@ class EnsembleConfig:
             raise ValueError("B1 and B2 must be at least 1")
         if self.d < 1:
             raise InvalidDimensionError(f"projected dimension must be >= 1, got {self.d}")
-        if self.base not in BASE_KINDS:
+        if self.base not in bc.BASE_KINDS:
             raise ValueError(f"unknown base classifier {self.base!r}")
-        if self.projection_kind not in PROJECTION_KINDS:
+        if self.projection_kind not in pj.KINDS:
             raise ValueError(f"unknown projection kind {self.projection_kind!r}")
         if self.estimator is not None and self.estimator not in ee.ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
@@ -150,9 +148,13 @@ class _BlockResult:
     winner_index: int
     projection: pj.Projection
     model: object
-    error_count: int
+    estimate: ee.ErrorEstimate
     vote_labels: np.ndarray
     candidate_counts: np.ndarray
+
+    @property
+    def error_count(self) -> int:
+        return self.estimate.errors
 
 
 def _base_spec(cfg: EnsembleConfig, tie_seed: int) -> bc.BaseSpec:
@@ -166,43 +168,50 @@ def _sample_projection(cfg: EnsembleConfig, p: int, *key) -> pj.Projection:
     return pj.sample_axis_aligned(p, cfg.d, rng)
 
 
-def _fit_candidate(cfg, X, y, point_ids, *, key_prefix):
-    """Fit one projected candidate; returns (projection, estimate, model, labels)."""
-    proj = _sample_projection(cfg, X.shape[1], *key_prefix, _TAG_PROJECTION)
-    tie_seed = derive_int(cfg.master_seed, *key_prefix, _TAG_TIEBREAK)
-    spec = _base_spec(cfg, tie_seed)
-    Z = proj.apply(X)
-    est, model, labels = ee._estimate_full(
-        Z, y, spec, cfg.estimator_name, point_ids=point_ids
-    )
+def _select(X, y, candidates, n, estimator, point_ids=None) -> _BlockResult:
+    """Fit ``n`` (projection, BaseSpec) candidates and keep the first strict minimum.
+
+    Every candidate's error count is recorded, -1 where it failed to fit.
+    The winner's per-point labels are its leave-one-out or in-sample
+    predictions, the votes it casts on the training data.
+    """
+    counts = np.full(n, -1, dtype=np.int64)
+    best = None
+    for idx, (proj, spec) in enumerate(candidates):
+        Z = proj.apply(X)
+        try:
+            est, model, labels = ee._estimate_full(Z, y, spec, estimator, point_ids=point_ids)
+        except _CANDIDATE_ERRORS:
+            continue
+        counts[idx] = est.errors
+        # Strict < keeps the smallest index on ties.
+        if best is None or est.errors < best[3].errors:
+            best = (idx, proj, model, est, labels, Z)
+    if best is None:
+        raise BlockFailureError(f"all {n} candidate projections failed")
+    idx, proj, model, est, labels, Z = best
     if labels is None:
         # sample_split trains on the first half only; in-sample votes still
         # come from the model actually deployed.
         labels = model.predict_many(Z)
-    return proj, est, model, labels
+    return _BlockResult(idx, proj, model, est, labels, counts)
 
 
 def _run_block(cfg, X, y, point_ids, b1, *, key_head=()):
-    """Evaluate one block of B2 candidates and keep the sargmin winner."""
-    counts = np.full(cfg.B2, -1, dtype=np.int64)
-    best = None
-    for b2 in range(cfg.B2):
-        try:
-            proj, est, model, labels = _fit_candidate(
-                cfg, X, y, point_ids, key_prefix=(*key_head, b1, b2)
-            )
-        except _CANDIDATE_ERRORS:
-            continue
-        counts[b2] = est.errors
-        # Strict < keeps the smallest index on ties.
-        if best is None or est.errors < best[3]:
-            best = (b2, proj, model, est.errors, labels, est.m)
-    if best is None:
-        raise BlockFailureError(
-            f"all {cfg.B2} candidate projections failed in block {b1}"
+    """Evaluate block ``b1`` of B2 keyed candidates; returns (block, m)."""
+    key = (*key_head, b1)
+    candidates = (
+        (
+            _sample_projection(cfg, X.shape[1], *key, b2, _TAG_PROJECTION),
+            _base_spec(cfg, derive_int(cfg.master_seed, *key, b2, _TAG_TIEBREAK)),
         )
-    b2, proj, model, errors, labels, m = best
-    return _BlockResult(b2, proj, model, errors, labels, counts), m
+        for b2 in range(cfg.B2)
+    )
+    try:
+        blk = _select(X, y, candidates, cfg.B2, cfg.estimator_name, point_ids)
+    except BlockFailureError as exc:
+        raise BlockFailureError(f"{exc} in block {b1}") from None
+    return blk, blk.estimate.m
 
 
 def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
@@ -215,21 +224,22 @@ def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
     if len(block) == 0:
         raise BlockFailureError("empty projection block")
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    best = None
-    for idx, proj in enumerate(block):
-        Z = proj.apply(X)
-        try:
-            est, model, _ = ee._estimate_full(
-                Z, y, base_spec, estimator, point_ids=point_ids
-            )
-        except _CANDIDATE_ERRORS:
-            continue
-        if best is None or est.errors < best[1].errors:
-            best = (proj, est, model)
-    if best is None:
-        raise BlockFailureError(f"all {len(block)} candidate projections failed")
-    return best
+    candidates = ((proj, base_spec) for proj in block)
+    blk = _select(X, np.asarray(y), candidates, len(block), estimator, point_ids)
+    return blk.projection, blk.estimate, blk.model
+
+
+def _map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on a thread pool when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _check_finite(X) -> None:
+    if not np.isfinite(X).all():
+        raise DataFormatError("input contains NaN or infinite values")
 
 
 def fit(X, y, cfg: EnsembleConfig, threads: int = 1) -> EnsembleModel:
@@ -242,6 +252,7 @@ def fit(X, y, cfg: EnsembleConfig, threads: int = 1) -> EnsembleModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     bc._check_labelled(X, y)
+    _check_finite(X)
     n, p = X.shape
     if not 1 <= cfg.d <= p:
         raise InvalidDimensionError(
@@ -250,16 +261,7 @@ def fit(X, y, cfg: EnsembleConfig, threads: int = 1) -> EnsembleModel:
     if not (np.any(y == 1) and np.any(y == 2)):
         raise MissingClassError("training data must contain both classes")
     point_ids = np.arange(n, dtype=np.int64)
-
-    def run(b1):
-        return _run_block(cfg, X, y, point_ids, b1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(cfg.B1)))
-    else:
-        results = [run(b1) for b1 in range(cfg.B1)]
-
+    results = _map(lambda b1: _run_block(cfg, X, y, point_ids, b1), range(cfg.B1), threads)
     blocks = [r for r, _ in results]
     block_m = results[0][1]
     vote_counts = np.zeros(n, dtype=np.int64)
@@ -293,6 +295,7 @@ def votes_many(model: EnsembleModel, X) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected points in {model.p} dimensions, got array of shape {X.shape}"
         )
+    _check_finite(X)
     counts = np.zeros(X.shape[0], dtype=np.int64)
     for proj, base_model in zip(model.projections, model.base_models):
         counts += (base_model.predict_many(proj.apply(X)) == 1)
@@ -319,39 +322,21 @@ def predict(model: EnsembleModel, x) -> int:
     return int(predict_many(model, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def _vote_pieces(vote_fracs, labels, pi_1, pi_2):
-    """Maximal intervals where the threshold objective is constant.
+def _vote_table(counts, labels, b1):
+    """Distinct vote counts and, per class, the votes strictly below each.
 
-    The objective O(t) = pi_1 * G1(t) + pi_2 * (1 - G2(t)) with
-    G_r(t) = (1/n_r) * #{i : y_i = r, vote_i < t} is a left-continuous step
-    function of t, constant on [0, v(1)] and on each (v(j), v(j+1)] for the
-    sorted distinct vote values v(1) < ... < v(K), and on (v(K), 1] when
-    v(K) < 1.  Returns a list of (lo, hi, value) with exact Fractions.
+    Returns (distinct, below1, below2, n1, n2): ``distinct`` holds the
+    sorted distinct values of ``counts`` and ``below_r[j]`` the number of
+    class-r votes (class 2 being every label other than 1) with a count
+    smaller than ``distinct[j]``.  Counts must be nonnegative.
     """
-    n1 = sum(1 for lab in labels if lab == 1)
-    n2 = len(labels) - n1
-    distinct = sorted(set(vote_fracs))
-    pairs = sorted(zip(vote_fracs, labels))
-    pieces = []
-    below1 = 0  # class-1 votes <= current piece's lower knot
-    below2 = 0
-    idx = 0
-    for j, v in enumerate(distinct):
-        lo = Fraction(0) if j == 0 else distinct[j - 1]
-        hi = v
-        # votes strictly below t for t in (lo, hi] are exactly votes <= lo
-        value = pi_1 * Fraction(below1, n1) + pi_2 * (1 - Fraction(below2, n2))
-        pieces.append((lo, hi, value))
-        while idx < len(pairs) and pairs[idx][0] == v:
-            if pairs[idx][1] == 1:
-                below1 += 1
-            else:
-                below2 += 1
-            idx += 1
-    if distinct[-1] < 1:
-        value = pi_1 * Fraction(below1, n1) + pi_2 * (1 - Fraction(below2, n2))
-        pieces.append((distinct[-1], Fraction(1), value))
-    return pieces
+    class1 = labels == 1
+    hist1 = np.bincount(counts[class1], minlength=b1 + 1)
+    hist2 = np.bincount(counts[~class1], minlength=b1 + 1)
+    distinct = np.flatnonzero(hist1 + hist2)
+    below1 = np.cumsum(hist1) - hist1
+    below2 = np.cumsum(hist2) - hist2
+    return distinct, below1[distinct], below2[distinct], int(class1.sum()), int((~class1).sum())
 
 
 def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
@@ -371,13 +356,12 @@ def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
     labels = np.asarray(labels, dtype=np.int64)
     if counts.shape != labels.shape or counts.ndim != 1:
         raise ShapeMismatchError("vote counts and labels must be matching 1-d arrays")
-    n1 = int(np.sum(labels == 1))
-    n2 = int(np.sum(labels == 2))
+    distinct, below1, below2, n1, n2 = _vote_table(counts, labels, b1)
     if n1 == 0 or n2 == 0:
         raise DegenerateVotesError(
             "threshold estimation needs votes from both classes"
         )
-    if np.all(counts == counts[0]):
+    if len(distinct) == 1:
         warnings.warn(
             "all training votes identical; threshold objective is flat, "
             "falling back to alpha = 1/2",
@@ -391,8 +375,19 @@ def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
         pi_1 = Fraction(priors[0])
     pi_2 = 1 - pi_1
 
-    fracs = [Fraction(int(c), b1) for c in counts]
-    pieces = _vote_pieces(fracs, labels.tolist(), pi_1, pi_2)
+    # The objective O(t) = pi_1 * G1(t) + pi_2 * (1 - G2(t)), with G_r(t)
+    # the fraction of class-r votes strictly below t, is a left-continuous
+    # step function: constant on [0, v(1)], on each (v(j), v(j+1)] between
+    # sorted distinct vote fractions, and on (v(K), 1] when v(K) < 1.
+    knots = [Fraction(int(c), b1) for c in distinct]
+    lows = [Fraction(0)] + knots[:-1]
+    values = [
+        pi_1 * Fraction(int(a), n1) + pi_2 * (1 - Fraction(int(b), n2))
+        for a, b in zip(below1, below2)
+    ]
+    pieces = list(zip(lows, knots, values))
+    if knots[-1] < 1:
+        pieces.append((knots[-1], Fraction(1), pi_1))
     best = min(value for _, _, value in pieces)
     argmin = [(lo, hi) for lo, hi, value in pieces if value == best]
     global_mid = (argmin[0][0] + argmin[-1][1]) / 2
@@ -456,19 +451,11 @@ def g_curves(model: EnsembleModel):
     training vote fractions as floats; g_r[j] is the fraction of class-r
     training points whose vote fraction is strictly below thresholds[j].
     """
-    counts = model.train_vote_counts
-    labels = model.train_labels
     b1 = model.B1
-    distinct = np.unique(counts)
-    thresholds = distinct / b1
-    g1 = np.empty(distinct.shape[0])
-    g2 = np.empty(distinct.shape[0])
-    n1 = int(np.sum(labels == 1))
-    n2 = int(np.sum(labels == 2))
-    for j, c in enumerate(distinct):
-        g1[j] = np.sum((labels == 1) & (counts < c)) / n1
-        g2[j] = np.sum((labels == 2) & (counts < c)) / n2
-    return thresholds, g1, g2
+    distinct, below1, below2, n1, n2 = _vote_table(
+        model.train_vote_counts, model.train_labels, b1
+    )
+    return distinct / b1, below1 / n1, below2 / n2
 
 
 def select_d(X, y, candidate_ds, cfg: EnsembleConfig, threads: int = 1) -> int:
@@ -489,6 +476,7 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig, threads: int = 1):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     bc._check_labelled(X, y)
+    _check_finite(X)
     n, p = X.shape
     point_ids = np.arange(n, dtype=np.int64)
     profile = {}
@@ -498,16 +486,14 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig, threads: int = 1):
         if not 1 <= d <= p:
             raise InvalidDimensionError(f"candidate dimension {d} outside [1, {p}]")
         cfg_d = replace(cfg, d=d)
-
-        def run(b1, cfg_d=cfg_d):
-            blk, _ = _run_block(cfg_d, X, y, point_ids, b1, key_head=(d,))
-            return blk.error_count
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                winner_counts = np.array(list(pool.map(run, range(cfg.B1))), dtype=np.int64)
-        else:
-            winner_counts = np.array([run(b1) for b1 in range(cfg.B1)], dtype=np.int64)
+        winner_counts = np.array(
+            _map(
+                lambda b1: _run_block(cfg_d, X, y, point_ids, b1, key_head=(d,))[0].error_count,
+                range(cfg.B1),
+                threads,
+            ),
+            dtype=np.int64,
+        )
         profile[d] = winner_counts
         total = int(winner_counts.sum())
         # Candidates ascend, so strict < keeps the smallest d on ties.

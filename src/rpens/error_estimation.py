@@ -1,12 +1,13 @@
 """Test-error estimators for a base classifier on projected data.
 
-Every estimate is a count of misclassified points divided by the number
-of evaluation points, performed once at the end, so the stored value is
-an exact rational with known denominator.
+Every estimate stores the integer count of misclassified points and the
+number of evaluation points, so its value is an exact rational with known
+denominator.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -36,30 +37,23 @@ ESTIMATORS = ("resubstitution", "leave_one_out", "sample_split")
 class ErrorEstimate:
     """Estimated test error: `errors` mistakes out of `m` evaluations."""
 
-    value: float
-    method: str
+    errors: int
     m: int
+    method: str
 
     def __post_init__(self):
+        # operator.index refuses non-integers and turns numpy integers into int.
+        object.__setattr__(self, "errors", operator.index(self.errors))
         if self.method not in ESTIMATORS:
             raise ValueError(f"unknown estimator: {self.method!r}")
         if self.m < 1:
             raise ValueError("estimate denominator must be positive")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("estimate must lie in [0, 1]")
-        scaled = self.value * self.m
-        if abs(scaled - round(scaled)) > 1e-9:
-            raise ValueError("estimate must be an integer count over m")
-
-    @classmethod
-    def from_counts(cls, errors: int, m: int, method: str) -> "ErrorEstimate":
-        if not 0 <= errors <= m:
+        if not 0 <= self.errors <= self.m:
             raise ValueError("error count must lie in [0, m]")
-        return cls(value=errors / m, method=method, m=m)
 
     @property
-    def errors(self) -> int:
-        return int(round(self.value * self.m))
+    def value(self) -> float:
+        return self.errors / self.m
 
 
 def default_estimator(base_kind: str) -> str:
@@ -86,13 +80,15 @@ def leave_one_out(Z, y, base: bc.BaseSpec, point_ids=None) -> ErrorEstimate:
 
 def sample_split(Z_fit, y_fit, Z_eval, y_eval, base: bc.BaseSpec) -> ErrorEstimate:
     """Error on a held-out half, for a model fitted on the other half."""
-    model = bc.fit_base(base, Z_fit, y_fit)
+    return _held_out_estimate(bc.fit_base(base, Z_fit, y_fit), Z_eval, y_eval)
+
+
+def _held_out_estimate(model, Z_eval, y_eval) -> ErrorEstimate:
     predicted = model.predict_many(np.asarray(Z_eval, dtype=np.float64))
     y_eval = np.asarray(y_eval, dtype=np.int64)
     if predicted.shape != y_eval.shape:
         raise ValueError("held-out labels must be one per held-out point")
-    errors = int(np.sum(predicted != y_eval))
-    return ErrorEstimate.from_counts(errors, len(y_eval), "sample_split")
+    return ErrorEstimate(int(np.sum(predicted != y_eval)), len(y_eval), "sample_split")
 
 
 def _estimate_full(Z, y, base, method, point_ids=None, split=None):
@@ -108,26 +104,21 @@ def _estimate_full(Z, y, base, method, point_ids=None, split=None):
     y = np.asarray(y, dtype=np.int64)
     n = len(y)
 
-    if method == "resubstitution":
+    if method in ("resubstitution", "leave_one_out"):
         model = bc.fit_base(base, Z, y, point_ids=point_ids)
-        labels = model.predict_many(Z)
-        errors = int(np.sum(labels != y))
-        return ErrorEstimate.from_counts(errors, n, method), model, labels
-
-    if method == "leave_one_out":
-        model = bc.fit_base(base, Z, y, point_ids=point_ids)
-        labels = _loo_labels(Z, y, base, point_ids)
-        errors = int(np.sum(labels != y))
-        return ErrorEstimate.from_counts(errors, n, method), model, labels
+        if method == "resubstitution":
+            labels = model.predict_many(Z)
+        else:
+            labels = _loo_labels(Z, y, base, point_ids)
+        return ErrorEstimate(int(np.sum(labels != y)), n, method), model, labels
 
     if method == "sample_split":
         if split is None:
             split = n // 2
         if not 1 <= split < n:
             raise ValueError("sample split needs points on both sides")
-        est = sample_split(Z[:split], y[:split], Z[split:], y[split:], base)
-        model = bc.fit_base(base, Z[:split], y[:split], point_ids=None)
-        return est, model, None
+        model = bc.fit_base(base, Z[:split], y[:split])
+        return _held_out_estimate(model, Z[split:], y[split:]), model, None
 
     raise ValueError(f"unknown estimator: {method!r}")
 

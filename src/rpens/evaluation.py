@@ -15,7 +15,6 @@ as N/A in reports rather than as crashes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -178,7 +177,7 @@ def _eval_comparator(comp: ComparatorSpec, X_tr, y_tr, X_te, seed_key):
     return model.predict_many(X_te)
 
 
-def _run_rep(spec: ExperimentSpec, pool, rep: int, threads_per_fit: int) -> dict:
+def _run_rep(spec: ExperimentSpec, pool, rep: int) -> dict:
     X_tr, y_tr, X_te, y_te = _draw_split(spec, pool, rep)
     out = {}
     for m in spec.methods:
@@ -190,7 +189,7 @@ def _run_rep(spec: ExperimentSpec, pool, rep: int, threads_per_fit: int) -> dict
                         spec.master_seed, "ensemble", rep, m.config.master_seed
                     ),
                 )
-                model = en.fit(X_tr, y_tr, cfg, threads=threads_per_fit)
+                model = en.fit(X_tr, y_tr, cfg)
                 pred = en.predict_many(model, X_te)
             else:
                 pred = _eval_comparator(
@@ -221,13 +220,7 @@ def run(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         sample = dg.load_labelled_csv(spec.source.path)
         pool = (sample.X, sample.y)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as tp:
-            rep_results = list(
-                tp.map(lambda rep: _run_rep(spec, pool, rep, 1), range(spec.repetitions))
-            )
-    else:
-        rep_results = [_run_rep(spec, pool, rep, 1) for rep in range(spec.repetitions)]
+    rep_results = en._map(lambda rep: _run_rep(spec, pool, rep), range(spec.repetitions), threads)
 
     errors = {
         m.method_id: np.array(
@@ -337,26 +330,13 @@ def theorem1_rate_diagnostic(
 
     arg = int(np.argmax(gaps))
     keep = gaps > 0
-    if int(keep.sum()) < 3:
-        return Theorem1Result(
-            slope=None,
-            insufficient_signal=True,
-            b1_grid=b1_grid,
-            gaps=tuple(gaps),
-            gap_ses=tuple(gap_ses),
-            errors_by_b1=tuple(means),
-            proxy_error=proxy_error,
-            b1_proxy=b1_proxy,
-            n_ensembles=n_ensembles,
-            max_gap=float(gaps[arg]),
-            max_gap_se=float(gap_ses[arg]),
-        )
-    slope = float(
+    insufficient = int(keep.sum()) < 3
+    slope = None if insufficient else float(
         np.polyfit(np.log(np.array(b1_grid)[keep]), np.log(gaps[keep]), 1)[0]
     )
     return Theorem1Result(
         slope=slope,
-        insufficient_signal=False,
+        insufficient_signal=insufficient,
         b1_grid=b1_grid,
         gaps=tuple(gaps),
         gap_ses=tuple(gap_ses),

@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import InvalidDimensionError, ShapeMismatchError
 
-__all__ = ["Projection", "sample_haar", "sample_axis_aligned", "apply", "ORTHONORMALITY_TOL"]
+__all__ = ["Projection", "KINDS", "sample_haar", "sample_axis_aligned", "apply", "ORTHONORMALITY_TOL"]
 
 ORTHONORMALITY_TOL = 1e-10
 
-_KINDS = ("haar", "axis_aligned")
+KINDS = ("haar", "axis_aligned")
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class Projection:
         d, p = entries.shape
         if d < 1 or d > p:
             raise InvalidDimensionError(f"need 1 <= d <= p, got d={d}, p={p}")
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown projection kind: {self.kind!r}")
         gram = entries @ entries.T
         if np.max(np.abs(gram - np.eye(d))) > ORTHONORMALITY_TOL:

@@ -43,9 +43,9 @@ class TestLda:
         y = np.array([1, 1, 2, 2])
         m = bc.fit_lda(Z, y)
         # decision boundary at the midpoint 5; the tie lands in class 1
-        assert bc.predict_lda(m, [4.999]) == 1
-        assert bc.predict_lda(m, [5.0]) == 1
-        assert bc.predict_lda(m, [5.001]) == 2
+        assert bc.predict_lda_many(m, [[4.999]])[0] == 1
+        assert bc.predict_lda_many(m, [[5.0]])[0] == 1
+        assert bc.predict_lda_many(m, [[5.001]])[0] == 2
 
     def test_empirical_prior_shifts_the_boundary(self):
         # with means 0/10 and pooled variance 2 the discriminant at 5.5 is
@@ -54,12 +54,12 @@ class TestLda:
         m = bc.fit_lda(Z, y)
         assert m.pi_hat_1 == pytest.approx(0.9)
         np.testing.assert_allclose(m.sigma_hat, [[2.0]], atol=1e-12)
-        assert bc.predict_lda(m, [5.5]) == 2
+        assert bc.predict_lda_many(m, [[5.5]])[0] == 2
 
         Z, y = _lda_line(0.95)
         m = bc.fit_lda(Z, y)
         assert m.pi_hat_1 == pytest.approx(0.95)
-        assert bc.predict_lda(m, [5.5]) == 1
+        assert bc.predict_lda_many(m, [[5.5]])[0] == 1
 
     def test_pooled_divisor_is_n_minus_2(self):
         Z = np.array([[0.0], [4.0], [10.0], [10.0], [16.0]])
@@ -168,7 +168,7 @@ class TestQda:
 
         for z in [-2.0, 0.5, 1.0, 3.0, 4.5, 8.0, 12.0]:
             want = 1 if disc(z) >= 0 else 2
-            assert bc.predict_qda(m, [z]) == want
+            assert bc.predict_qda_many(m, [[z]])[0] == want
 
     def test_matches_gaussian_log_likelihood_ratio(self, rng):
         X, y = make_blobs(40, 2, 2.0, seed=3)
@@ -200,7 +200,7 @@ class TestQda:
             for i in range(len(y)):
                 keep[i] = False
                 ref = bc.fit_qda(Z[keep], y[keep])
-                assert labels[i] == bc.predict_qda(ref, Z[i]), (trial, i)
+                assert labels[i] == bc.predict_qda_many(ref, Z[i][None, :])[0], (trial, i)
                 keep[i] = True
 
     def test_loo_flags_too_small_class(self):
@@ -253,8 +253,8 @@ class TestKnn:
         Z = np.array([[-1.0], [1.0]])
         y = np.array([1, 2])
         m = bc.fit_knn(Z, y, k=2)
-        assert bc.predict_knn(m, [0.3]) == 1
-        assert bc.predict_knn(m, [-0.3]) == 1
+        assert bc.predict_knn_many(m, [[0.3]])[0] == 1
+        assert bc.predict_knn_many(m, [[-0.3]])[0] == 1
 
     def test_distance_ties_are_deterministic_and_order_free(self):
         # unit square corners: every query at the centre ties all four
@@ -297,7 +297,7 @@ class TestKnn:
                 ref = bc.fit_knn(
                     Z[keep], y[keep], k=min(k, n - 1), tie_seed=7, point_ids=ids[keep]
                 )
-                assert labels[i] == bc.predict_knn(ref, Z[i]), (trial, i)
+                assert labels[i] == bc.predict_knn_many(ref, Z[i][None, :])[0], (trial, i)
                 keep[i] = True
 
     def test_label_swap_flips_predictions_odd_k(self):

@@ -171,6 +171,24 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("base", ["knn", "lda", "qda"])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_training_cell_is_3(self, tmp_path, synthetic_csv, capsys, base, cell):
+        lines = synthetic_csv.read_text(encoding="utf-8").splitlines()
+        row = lines[5].split(",")
+        row[2] = cell
+        lines[5] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model_path = tmp_path / "m.json"
+        code = main([
+            "fit", "--train", str(bad), "--model-out", str(model_path),
+            "--base", base, "--d", "2", "--B1", "3", "--B2", "3",
+        ])
+        assert code == 3
+        assert "non-finite value" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_dimension_mismatch_is_3(self, tmp_path, synthetic_csv, capsys):
         model_path = tmp_path / "model.json"
         assert main([

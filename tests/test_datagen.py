@@ -242,6 +242,14 @@ class TestCsvLoading:
         with pytest.raises(DataFormatError, match="label"):
             dg.load_labelled_csv(f)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        from rpens.errors import DataFormatError
+
+        f = self._write(tmp_path, f"label,x,y\n1,0.5,1.0\n2,0.25,{cell}\n1,{cell},0.0\n")
+        with pytest.raises(DataFormatError, match=r":3: non-finite value .* column 'y'"):
+            dg.load_labelled_csv(f)
+
     def test_degenerate_files(self, tmp_path):
         from rpens.errors import DataFormatError
 

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,39 @@ class TestFit:
             np.testing.assert_allclose(model.mu_hat_1, ref.mu_hat_1)
             np.testing.assert_allclose(model.sigma_hat, ref.sigma_hat)
 
+    def test_sample_split_fits_each_candidate_once(self, monkeypatch):
+        calls = []
+        fit_base = bc.fit_base
+
+        def counting_fit_base(*args, **kwargs):
+            calls.append(args[0].kind)
+            return fit_base(*args, **kwargs)
+
+        monkeypatch.setattr(bc, "fit_base", counting_fit_base)
+        X, y = make_blobs(13, 5, 2.0, seed=57)
+        cfg = en.EnsembleConfig(
+            B1=3, B2=4, d=2, base="lda", estimator="sample_split", master_seed=2
+        )
+        m = en.fit(X, y, cfg)
+        assert np.all(m.block_error_counts >= 0)
+        assert len(calls) == cfg.B1 * cfg.B2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_data_error(self, bad):
+        X, y = make_blobs(10, 3, 1.0, seed=58)
+        cfg = en.EnsembleConfig(B1=2, B2=2, d=2, master_seed=1)
+        m = en.fit(X, y, cfg)
+        X_bad = X.copy()
+        X_bad[4, 1] = bad
+        with pytest.raises(errors.DataFormatError):
+            en.fit(X_bad, y, cfg)
+        with pytest.raises(errors.DataFormatError):
+            en.select_d_profile(X_bad, y, [1, 2], cfg)
+        with pytest.raises(errors.DataFormatError):
+            en.votes_many(m, X_bad)
+        with pytest.raises(errors.DataFormatError):
+            en.predict(m, X_bad[4])
+
     def test_rejects_bad_inputs(self):
         X, y = make_blobs(10, 3, 1.0, seed=58)
         with pytest.raises(errors.InvalidDimensionError):
@@ -284,25 +318,61 @@ class TestEstimateAlpha:
 
     def test_attains_minimum_over_candidates(self):
         gen = np.random.default_rng(71)
-        for trial in range(60):
+        for trial in range(120):
             b1 = int(gen.integers(2, 12))
             n = int(gen.integers(4, 25))
             labels = gen.integers(1, 3, size=n)
             labels[:2] = [1, 2]
             counts = gen.integers(0, b1 + 1, size=n)
+            # odd trials weight the classes by explicit priors
+            priors = (Fraction(int(gen.integers(1, 20)), 20),) if trial % 2 else None
             if np.all(counts == counts[0]):
                 continue
-            a = en.estimate_alpha(counts, labels, b1)
-            if _genuinely_clamped(counts, labels, b1, a):
+            a = en.estimate_alpha(counts, labels, b1, priors=priors)
+            if _genuinely_clamped(counts, labels, b1, a, priors):
                 # the inward nudge of an exact-zero minimizer may cost
                 # objective value; covered by the clamp test below
                 continue
-            got = en.alpha_objective(counts, labels, b1, a)
+            got = en.alpha_objective(counts, labels, b1, a, priors=priors)
             best = min(
-                en.alpha_objective(counts, labels, b1, t)
+                en.alpha_objective(counts, labels, b1, t, priors=priors)
                 for t in en.alpha_candidates(counts, b1)
             )
             assert got == best, trial
+
+    def test_equals_reference_piece_scan(self):
+        # The threshold is built from one vote-count table; the reference
+        # below scans sorted Fraction votes piece by piece.  Both must agree
+        # exactly on random, three-valued, separated and anti-learning
+        # votes, with empirical and explicit priors.
+        gen = np.random.default_rng(2017)
+        for trial in range(5000):
+            b1 = int(gen.integers(1, 30))
+            n = int(gen.integers(2, 40))
+            labels = gen.integers(1, 3, size=n)
+            labels[:2] = [1, 2]
+            shape = trial % 4
+            if shape == 0:
+                counts = gen.integers(0, b1 + 1, size=n)
+            elif shape == 1:
+                counts = gen.choice(gen.integers(0, b1 + 1, size=3), size=n)
+            else:
+                cut = int(gen.integers(0, b1 + 1))
+                high = gen.integers(cut, b1 + 1, size=n)
+                low = gen.integers(0, cut + 1, size=n)
+                # separated: class 1 votes high; anti-learning: class 1 votes low
+                class1_high = shape == 2
+                counts = np.where((labels == 1) == class1_high, high, low)
+            priors = None
+            if trial % 3 == 1:
+                priors = (Fraction(int(gen.integers(1, 40)), 40),)
+            elif trial % 3 == 2:
+                priors = (float(gen.uniform(0.01, 0.99)),)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = _reference_estimate_alpha(counts, labels, b1, priors)
+                got = en.estimate_alpha(counts, labels, b1, priors=priors)
+            assert got == want, (trial, counts.tolist(), labels.tolist(), b1, priors)
 
     @pytest.mark.parametrize(
         "counts,labels,b1",
@@ -371,15 +441,73 @@ class TestEstimateAlpha:
         assert got == best
 
 
-def _genuinely_clamped(counts, labels, b1, a):
+def _genuinely_clamped(counts, labels, b1, a, priors=None):
     """True when `a` is the inward nudge of a bare minimizer at 0."""
     if a != Fraction(1, 2 * b1):
         return False
-    got = en.alpha_objective(counts, labels, b1, a)
+    got = en.alpha_objective(counts, labels, b1, a, priors=priors)
     best = min(
-        en.alpha_objective(counts, labels, b1, t) for t in en.alpha_candidates(counts, b1)
+        en.alpha_objective(counts, labels, b1, t, priors=priors)
+        for t in en.alpha_candidates(counts, b1)
     )
     return got > best
+
+
+def _reference_vote_pieces(vote_fracs, labels, pi_1, pi_2):
+    """Maximal intervals (lo, hi, value) where the threshold objective is constant."""
+    n1 = sum(1 for lab in labels if lab == 1)
+    n2 = len(labels) - n1
+    distinct = sorted(set(vote_fracs))
+    pairs = sorted(zip(vote_fracs, labels))
+    pieces = []
+    below1 = 0  # class-1 votes <= current piece's lower knot
+    below2 = 0
+    idx = 0
+    for j, v in enumerate(distinct):
+        lo = Fraction(0) if j == 0 else distinct[j - 1]
+        value = pi_1 * Fraction(below1, n1) + pi_2 * (1 - Fraction(below2, n2))
+        pieces.append((lo, v, value))
+        while idx < len(pairs) and pairs[idx][0] == v:
+            if pairs[idx][1] == 1:
+                below1 += 1
+            else:
+                below2 += 1
+            idx += 1
+    if distinct[-1] < 1:
+        value = pi_1 * Fraction(below1, n1) + pi_2 * (1 - Fraction(below2, n2))
+        pieces.append((distinct[-1], Fraction(1), value))
+    return pieces
+
+
+def _reference_estimate_alpha(counts, labels, b1, priors=None):
+    """Threshold by a sorted scan over Fraction votes, O(n log n) Fraction work."""
+    n1 = int(np.sum(labels == 1))
+    n2 = int(np.sum(labels == 2))
+    if np.all(counts == counts[0]):
+        return Fraction(1, 2)
+    pi_1 = Fraction(n1, n1 + n2) if priors is None else Fraction(priors[0])
+    fracs = [Fraction(int(c), b1) for c in counts]
+    pieces = _reference_vote_pieces(fracs, labels.tolist(), pi_1, 1 - pi_1)
+    best = min(value for _, _, value in pieces)
+    argmin = [(lo, hi) for lo, hi, value in pieces if value == best]
+    global_mid = (argmin[0][0] + argmin[-1][1]) / 2
+
+    def contains(piece, t):
+        lo, hi = piece
+        return t == lo if lo == hi else lo < t <= hi
+
+    if any(contains(piece, global_mid) for piece in argmin):
+        mid = global_mid
+    else:
+        mid = min(
+            ((lo + hi) / 2 for lo, hi in argmin),
+            key=lambda m: (abs(m - global_mid), m),
+        )
+    if mid <= 0:
+        return Fraction(1, 2 * b1)
+    if mid >= 1:
+        return 1 - Fraction(1, 2 * b1)
+    return mid
 
 
 class TestGCurves:

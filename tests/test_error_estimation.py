@@ -17,19 +17,20 @@ class TestErrorEstimate:
     @settings(max_examples=100, deadline=None)
     def test_value_is_exact_count_over_m(self, m, data):
         k = data.draw(st.integers(min_value=0, max_value=m))
-        est = ee.ErrorEstimate.from_counts(k, m, "resubstitution")
+        est = ee.ErrorEstimate(errors=k, m=m, method="resubstitution")
         assert est.errors == k
         assert Fraction(est.errors, est.m) == Fraction(k, m)
+        assert est.value == k / m
 
     def test_rejects_non_rational_and_out_of_range(self):
+        with pytest.raises(TypeError):
+            ee.ErrorEstimate(errors=0.5, m=2, method="resubstitution")
         with pytest.raises(ValueError):
-            ee.ErrorEstimate(value=0.5 + 1e-6, method="resubstitution", m=2)
+            ee.ErrorEstimate(errors=-1, m=10, method="resubstitution")
         with pytest.raises(ValueError):
-            ee.ErrorEstimate(value=-0.1, method="resubstitution", m=10)
+            ee.ErrorEstimate(errors=1, m=2, method="bootstrap")
         with pytest.raises(ValueError):
-            ee.ErrorEstimate(value=0.5, method="bootstrap", m=2)
-        with pytest.raises(ValueError):
-            ee.ErrorEstimate.from_counts(3, 2, "leave_one_out")
+            ee.ErrorEstimate(errors=3, m=2, method="leave_one_out")
 
     def test_default_pairing(self):
         assert ee.default_estimator("lda") == "resubstitution"
