@@ -224,6 +224,7 @@ def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
     if len(block) == 0:
         raise BlockFailureError("empty projection block")
     X = np.asarray(X, dtype=np.float64)
+    _check_finite(X)
     candidates = ((proj, base_spec) for proj in block)
     blk = _select(X, np.asarray(y), candidates, len(block), estimator, point_ids)
     return blk.projection, blk.estimate, blk.model

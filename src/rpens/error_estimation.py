@@ -104,13 +104,8 @@ def _estimate_full(Z, y, base, method, point_ids=None, split=None):
     y = np.asarray(y, dtype=np.int64)
     n = len(y)
 
-    if method in ("resubstitution", "leave_one_out"):
-        model = bc.fit_base(base, Z, y, point_ids=point_ids)
-        if method == "resubstitution":
-            labels = model.predict_many(Z)
-        else:
-            labels = _loo_labels(Z, y, base, point_ids)
-        return ErrorEstimate(int(np.sum(labels != y)), n, method), model, labels
+    if method not in ESTIMATORS:
+        raise ValueError(f"unknown estimator: {method!r}")
 
     if method == "sample_split":
         if split is None:
@@ -120,7 +115,12 @@ def _estimate_full(Z, y, base, method, point_ids=None, split=None):
         model = bc.fit_base(base, Z[:split], y[:split])
         return _held_out_estimate(model, Z[split:], y[split:]), model, None
 
-    raise ValueError(f"unknown estimator: {method!r}")
+    model = bc.fit_base(base, Z, y, point_ids=point_ids)
+    if method == "resubstitution":
+        labels = model.predict_many(Z)
+    else:
+        labels = _loo_labels(Z, y, base, point_ids)
+    return ErrorEstimate(int(np.sum(labels != y)), n, method), model, labels
 
 
 def _loo_labels(Z, y, base, point_ids):

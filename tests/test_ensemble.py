@@ -229,6 +229,8 @@ class TestFit:
         with pytest.raises(errors.DataFormatError):
             en.select_d_profile(X_bad, y, [1, 2], cfg)
         with pytest.raises(errors.DataFormatError):
+            en.select_block_winner(X_bad, y, m.projections, bc.BaseSpec("knn"), "leave_one_out")
+        with pytest.raises(errors.DataFormatError):
             en.votes_many(m, X_bad)
         with pytest.raises(errors.DataFormatError):
             en.predict(m, X_bad[4])
