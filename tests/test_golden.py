@@ -3,8 +3,9 @@
 Each fit case trains an ensemble on one small seeded model-1 sample and
 pins the sha256 of ``serialize.dumps`` of the fitted model, over every
 base classifier, estimator, projection kind and a fixed or data-driven
-threshold.  One more case pins a ``select_d_profile``.  A change to the
-fitting path that is meant to keep behaviour keeps every digest; a change
+threshold.  One more case pins a ``select_d_profile``, and one the bytes
+of a small ``rpens simulate --out`` CSV written through ``cli.main``.  A
+change to the fitting path that is meant to keep behaviour keeps every digest; a change
 that moves one on purpose must name the output and say why.
 
 The digests hold for one numpy/BLAS build: elsewhere, rounding in the
@@ -12,16 +13,26 @@ base classifiers can move them.  ``PYTHONPATH=src python
 tests/test_golden.py`` prints the digests of the code as it stands.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import pytest
 
 from rpens import datagen, serialize
 from rpens import ensemble as en
+from rpens.cli import main as cli_main
 from rpens.rng import make_rng
 
 N_TRAIN = 40
 P = 10
+SIMULATE_ARGS = [
+    "simulate", "--model", "1", "--n", "40", "--p", "6", "--d", "2",
+    "--B1", "8", "--B2", "3", "--reps", "3", "--n-test", "100",
+    "--comparator", "knn", "--seed", "11",
+]
 FIT_CASES = [
     (base, estimator, kind, alpha)
     for base in ("lda", "qda", "knn")
@@ -68,6 +79,7 @@ GOLDEN = {
     "knn-sample_split-axis_aligned-data_alpha": "7e5c75ca842b51d408de9770bcbf56623b417fc0e9948cfe9651208289c2884f",
     "knn-sample_split-axis_aligned-fixed_alpha": "19747c74c113ea3fe8b65cdc0c26ce2420345ad319b9fc1bf310d61cb5ba7189",
     "select_d_profile": "895bdc57a0b4f9eb247d8f06a401730c14e2ae65246fcdd26015e4c60f1f2d4a",
+    "simulate_out": "65d7bb71d2656e436ff92c681d1496e73a9e7fc661a2fcc9f4f16bf8642721b4",
 }
 
 
@@ -86,6 +98,13 @@ def _fit_digest(X, y, base, estimator, kind, alpha):
         projection_kind=kind, alpha=alpha, master_seed=5,
     )
     return hashlib.sha256(serialize.dumps(en.fit(X, y, cfg)).encode("ascii")).hexdigest()
+
+
+def _simulate_digest(out_dir):
+    out = os.path.join(out_dir, "simulate.csv")
+    assert cli_main(SIMULATE_ARGS + ["--out", out]) == 0
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _select_d_digest(X, y):
@@ -113,8 +132,17 @@ def test_select_d_profile_digest(sample):
     assert _select_d_digest(*sample) == GOLDEN["select_d_profile"], "select_d_profile moved"
 
 
+def test_simulate_out_digest(tmp_path, capsys):
+    got = _simulate_digest(str(tmp_path))
+    capsys.readouterr()
+    assert got == GOLDEN["simulate_out"], "simulate --out CSV moved"
+
+
 if __name__ == "__main__":
     X, y = _sample()
     for case in FIT_CASES:
         print(f'    "{_case_id(*case)}": "{_fit_digest(X, y, *case)}",')
     print(f'    "select_d_profile": "{_select_d_digest(X, y)}",')
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        digest = _simulate_digest(tmp)
+    print(f'    "simulate_out": "{digest}",')
