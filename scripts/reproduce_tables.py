@@ -48,7 +48,6 @@ def main(argv=None):
     ap.add_argument("--B2", type=int, default=50)
     ap.add_argument("--n-test", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=20260816)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--full", action="store_true", help="100 reps, B1=B2=100")
     args = ap.parse_args(argv)
 
@@ -71,7 +70,7 @@ def main(argv=None):
                 master_seed=args.seed,
             )
             t0 = time.time()
-            summary = ev.run(spec, threads=args.threads).summary()
+            summary = ev.run(spec).summary()
             elapsed = time.time() - t0
             for mid, (mean, se, n_valid) in summary.items():
                 cell = "N/A" if n_valid == 0 else f"{mean:.2f}_{{{se:.2f}}}"

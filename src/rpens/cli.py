@@ -149,7 +149,7 @@ def _cmd_simulate(args) -> int:
         methods=tuple(methods),
         master_seed=args.seed,
     )
-    result = ev.run(spec, threads=args.threads)
+    result = ev.run(spec)
     summary = result.summary()
     for m in methods:
         print(_summary_line(m.method_id, summary[m.method_id]))
@@ -185,6 +185,7 @@ def _cmd_simulate(args) -> int:
 # fit / predict
 
 
+# ``threads`` is accepted and ignored: fits run serially.
 _CONFIG_INT_KEYS = ("d", "B1", "B2", "knn_k", "seed", "threads")
 _CONFIG_FLOAT_KEYS = ("alpha",)
 _CONFIG_STR_KEYS = ("base", "estimator", "projection")
@@ -218,7 +219,7 @@ def _read_config_file(path) -> dict:
 
 _FIT_DEFAULTS = {
     "d": None, "base": "lda", "B1": 100, "B2": 100, "estimator": None,
-    "alpha": None, "knn_k": None, "projection": "haar", "seed": 0, "threads": 1,
+    "alpha": None, "knn_k": None, "projection": "haar", "seed": 0,
 }
 
 
@@ -239,7 +240,7 @@ def _cmd_fit(args) -> int:
         master_seed=merged["seed"],
     )
     train = dg.load_labelled_csv(args.train)
-    model = en.fit(train.X, train.y, cfg, threads=merged["threads"])
+    model = en.fit(train.X, train.y, cfg)
     sz.save_model(model, args.model_out)
     print(
         f"fitted B1={cfg.B1} B2={cfg.B2} d={cfg.d} base={cfg.base} "
@@ -295,11 +296,8 @@ def _cmd_select_d(args) -> int:
     # each candidate in turn
     args.d = min(candidates)
     cfg = _ensemble_config(args, args.seed)
-    chosen, profile = en.select_d_profile(
-        sample.X, sample.y, candidates, cfg, threads=args.threads
-    )
-    n = sample.y.shape[0]
-    m = (n - n // 2) if cfg.estimator_name == "sample_split" else n
+    chosen, profile = en.select_d_profile(sample.X, sample.y, candidates, cfg)
+    m = ee.evaluation_count(cfg.estimator_name, sample.y.shape[0])
     print(f"selected d = {chosen}")
     for d in sorted(profile):
         print(f"  d={d}: mean winner estimate {profile[d].mean() / m:.4f}")
@@ -396,6 +394,9 @@ def _cmd_bayes_risk(args) -> int:
 # parser
 
 
+_THREADS_HELP = "accepted and ignored: fits run serially"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpens",
@@ -413,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=ev.COMPARATOR_KINDS,
                     help="add a full-dimension comparator (repeatable)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sp.add_argument("--out", default=None, help="per-repetition results CSV")
     sp.set_defaults(func=_cmd_simulate)
 
@@ -423,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None, help="key=value config file; flags override")
     _add_ensemble_flags(sp, require_d=False, defaults=False)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sp.add_argument("--curves-out", default=None, help="vote-CDF curve CSV")
     sp.set_defaults(func=_cmd_fit)
 
@@ -443,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--candidates", required=True, help="comma-separated d values")
     _add_ensemble_flags(sp, require_d=False)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sp.add_argument("--out", default=None, help="per-block winner estimate CSV")
     sp.set_defaults(func=_cmd_select_d)
 

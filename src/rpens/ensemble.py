@@ -7,15 +7,14 @@ base classifier is kept, and the ensemble's decision at a point is a vote
 among the ``B1`` survivors: predict class 1 when the fraction voting 1
 reaches the threshold ``alpha_hat``.
 
-Everything downstream of the master seed is deterministic, including under
-a thread pool: every projection and every tie-break stream is derived from
+Fits run serially.  Everything downstream of the master seed is
+deterministic: every projection and every tie-break stream is derived from
 a keyed seed, never from call order.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -197,8 +196,8 @@ def _select(X, y, candidates, n, estimator, point_ids=None) -> _BlockResult:
     return _BlockResult(idx, proj, model, est, labels, counts)
 
 
-def _run_block(cfg, X, y, point_ids, b1, *, key_head=()):
-    """Evaluate block ``b1`` of B2 keyed candidates; returns (block, m)."""
+def _run_block(cfg, X, y, b1, *, key_head=()) -> _BlockResult:
+    """Evaluate block ``b1`` of B2 keyed candidates."""
     key = (*key_head, b1)
     candidates = (
         (
@@ -208,10 +207,9 @@ def _run_block(cfg, X, y, point_ids, b1, *, key_head=()):
         for b2 in range(cfg.B2)
     )
     try:
-        blk = _select(X, y, candidates, cfg.B2, cfg.estimator_name, point_ids)
+        return _select(X, y, candidates, cfg.B2, cfg.estimator_name)
     except BlockFailureError as exc:
         raise BlockFailureError(f"{exc} in block {b1}") from None
-    return blk, blk.estimate.m
 
 
 def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
@@ -230,26 +228,13 @@ def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
     return blk.projection, blk.estimate, blk.model
 
 
-def _map(fn, items, threads: int) -> list:
-    """``[fn(item) for item in items]``, on a thread pool when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _check_finite(X) -> None:
     if not np.isfinite(X).all():
         raise DataFormatError("input contains NaN or infinite values")
 
 
-def fit(X, y, cfg: EnsembleConfig, threads: int = 1) -> EnsembleModel:
-    """Fit the ensemble on labelled data.
-
-    ``threads`` > 1 evaluates blocks concurrently; results are bit-identical
-    to the sequential run because every block draws from its own keyed seed
-    stream and block outputs are combined in block order.
-    """
+def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
+    """Fit the ensemble on labelled data."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     bc._check_labelled(X, y)
@@ -261,10 +246,7 @@ def fit(X, y, cfg: EnsembleConfig, threads: int = 1) -> EnsembleModel:
         )
     if not (np.any(y == 1) and np.any(y == 2)):
         raise MissingClassError("training data must contain both classes")
-    point_ids = np.arange(n, dtype=np.int64)
-    results = _map(lambda b1: _run_block(cfg, X, y, point_ids, b1), range(cfg.B1), threads)
-    blocks = [r for r, _ in results]
-    block_m = results[0][1]
+    blocks = [_run_block(cfg, X, y, b1) for b1 in range(cfg.B1)]
     vote_counts = np.zeros(n, dtype=np.int64)
     for blk in blocks:
         vote_counts += (blk.vote_labels == 1)
@@ -283,7 +265,7 @@ def fit(X, y, cfg: EnsembleConfig, threads: int = 1) -> EnsembleModel:
         train_labels=y.astype(np.int64, copy=True),
         winner_indices=tuple(blk.winner_index for blk in blocks),
         block_error_counts=np.stack([blk.candidate_counts for blk in blocks]),
-        block_m=block_m,
+        block_m=blocks[0].estimate.m,
     )
 
 
@@ -459,17 +441,17 @@ def g_curves(model: EnsembleModel):
     return distinct / b1, below1 / n1, below2 / n2
 
 
-def select_d(X, y, candidate_ds, cfg: EnsembleConfig, threads: int = 1) -> int:
+def select_d(X, y, candidate_ds, cfg: EnsembleConfig) -> int:
     """Pick the projected dimension with the smallest mean winner estimate.
 
     Each candidate d gets its own B1 x B2 selection pass drawn from seed
     streams keyed by (d, b1, b2); ties resolve to the smallest d.
     """
-    chosen, _ = select_d_profile(X, y, candidate_ds, cfg, threads=threads)
+    chosen, _ = select_d_profile(X, y, candidate_ds, cfg)
     return chosen
 
 
-def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig, threads: int = 1):
+def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig):
     """As select_d, also returning {d: per-block winner error counts}."""
     candidates = sorted(set(int(d) for d in candidate_ds))
     if not candidates:
@@ -478,8 +460,7 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig, threads: int = 1):
     y = np.asarray(y)
     bc._check_labelled(X, y)
     _check_finite(X)
-    n, p = X.shape
-    point_ids = np.arange(n, dtype=np.int64)
+    p = X.shape[1]
     profile = {}
     best_d = None
     best_total = None
@@ -488,11 +469,7 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig, threads: int = 1):
             raise InvalidDimensionError(f"candidate dimension {d} outside [1, {p}]")
         cfg_d = replace(cfg, d=d)
         winner_counts = np.array(
-            _map(
-                lambda b1: _run_block(cfg_d, X, y, point_ids, b1, key_head=(d,))[0].error_count,
-                range(cfg.B1),
-                threads,
-            ),
+            [_run_block(cfg_d, X, y, b1, key_head=(d,)).error_count for b1 in range(cfg.B1)],
             dtype=np.int64,
         )
         profile[d] = winner_counts

@@ -25,6 +25,7 @@ __all__ = [
     "ErrorEstimate",
     "ESTIMATORS",
     "default_estimator",
+    "evaluation_count",
     "resubstitution",
     "leave_one_out",
     "sample_split",
@@ -66,6 +67,16 @@ def default_estimator(base_kind: str) -> str:
     return "resubstitution" if base_kind == "lda" else "leave_one_out"
 
 
+def _split_point(n: int) -> int:
+    """sample_split fits on the first ``n // 2`` points and scores the rest."""
+    return n // 2
+
+
+def evaluation_count(method: str, n: int) -> int:
+    """Points that ``method`` scores on n training points: the estimate's m."""
+    return n - _split_point(n) if method == "sample_split" else n
+
+
 def resubstitution(Z, y, base: bc.BaseSpec) -> ErrorEstimate:
     """Training error of the base classifier fitted on all of (Z, y)."""
     est, _, _ = _estimate_full(Z, y, base, "resubstitution")
@@ -91,7 +102,7 @@ def _held_out_estimate(model, Z_eval, y_eval) -> ErrorEstimate:
     return ErrorEstimate(int(np.sum(predicted != y_eval)), len(y_eval), "sample_split")
 
 
-def _estimate_full(Z, y, base, method, point_ids=None, split=None):
+def _estimate_full(Z, y, base, method, point_ids=None):
     """Estimate plus fitted model plus per-point predictions.
 
     Returns (estimate, model, per_point_labels). The model is fitted on
@@ -108,8 +119,7 @@ def _estimate_full(Z, y, base, method, point_ids=None, split=None):
         raise ValueError(f"unknown estimator: {method!r}")
 
     if method == "sample_split":
-        if split is None:
-            split = n // 2
+        split = _split_point(n)
         if not 1 <= split < n:
             raise ValueError("sample split needs points on both sides")
         model = bc.fit_base(base, Z[:split], y[:split])

@@ -209,18 +209,14 @@ def _run_rep(spec: ExperimentSpec, pool, rep: int) -> dict:
     return out
 
 
-def run(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Execute the experiment; see the module docstring for the protocol.
-
-    ``threads`` parallelizes over repetitions (each repetition's seeds are
-    keyed by its index, so scheduling cannot change any number).
-    """
+def run(spec: ExperimentSpec) -> ExperimentResult:
+    """Execute the experiment; see the module docstring for the protocol."""
     pool = None
     if isinstance(spec.source, CsvSource):
         sample = dg.load_labelled_csv(spec.source.path)
         pool = (sample.X, sample.y)
 
-    rep_results = en._map(lambda rep: _run_rep(spec, pool, rep), range(spec.repetitions), threads)
+    rep_results = [_run_rep(spec, pool, rep) for rep in range(spec.repetitions)]
 
     errors = {
         m.method_id: np.array(
@@ -251,11 +247,11 @@ class Theorem1Result:
     max_gap_se: float
 
 
-def _winner_predictions(cfg, X_tr, y_tr, X_te, point_ids, key_head, n_winners):
+def _winner_predictions(cfg, X_tr, y_tr, X_te, key_head, n_winners):
     """Boolean matrix: row i is winner i's class-1 votes on the test set."""
     votes = np.empty((n_winners, X_te.shape[0]), dtype=bool)
     for i in range(n_winners):
-        blk, _ = en._run_block(cfg, X_tr, y_tr, point_ids, i, key_head=key_head)
+        blk = en._run_block(cfg, X_tr, y_tr, i, key_head=key_head)
         votes[i] = blk.model.predict_many(blk.projection.apply(X_te)) == 1
     return votes
 
@@ -292,7 +288,6 @@ def theorem1_rate_diagnostic(
 
     train = dg.sample(model, n_train, make_rng(master_seed, "t1_train"))
     test = dg.sample(model, mc_test, make_rng(master_seed, "t1_test"))
-    point_ids = np.arange(n_train, dtype=np.int64)
     b1_max = b1_grid[-1]
     alpha = Fraction(cfg.alpha)
     y_te = test.y
@@ -311,15 +306,11 @@ def theorem1_rate_diagnostic(
     # point at once.
     per_pool = np.empty((n_ensembles, len(b1_grid)))
     for j in range(n_ensembles):
-        votes = _winner_predictions(
-            cfg, train.X, train.y, test.X, point_ids, ("t1", j), b1_max
-        )
+        votes = _winner_predictions(cfg, train.X, train.y, test.X, ("t1", j), b1_max)
         per_pool[j] = ensemble_errors(votes, b1_grid)
 
     b1_proxy = 4 * b1_max
-    proxy_votes = _winner_predictions(
-        cfg, train.X, train.y, test.X, point_ids, ("t1_proxy",), b1_proxy
-    )
+    proxy_votes = _winner_predictions(cfg, train.X, train.y, test.X, ("t1_proxy",), b1_proxy)
     proxy_error = ensemble_errors(proxy_votes, [b1_proxy])[0]
 
     means = per_pool.mean(axis=0)
@@ -388,11 +379,7 @@ def theorem2_bound_diagnostic(
     train = dg.sample(model, n_train, make_rng(master_seed, "t2_train"))
     test_X = dg.sample(model, mc_n, make_rng(master_seed, "t2_test")).X
     eta = dg.eta(model, test_X)
-    point_ids = np.arange(n_train, dtype=np.int64)
-
-    votes = _winner_predictions(
-        cfg, train.X, train.y, test_X, point_ids, ("t2",), n_winners
-    )
+    votes = _winner_predictions(cfg, train.X, train.y, test_X, ("t2",), n_winners)
 
     # P(wrong | x) is 1 - eta where a classifier says 1 and eta where it
     # says 2; the Bayes rule attains min(eta, 1 - eta).

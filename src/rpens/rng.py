@@ -3,7 +3,7 @@
 Every source of randomness in the package is a numpy Generator obtained
 from a root integer seed plus a structured key, so that independent
 pieces of work (blocks, projections, repetitions, tie-breaks) own
-non-overlapping streams regardless of execution order or thread count.
+non-overlapping streams regardless of the order they run in.
 """
 
 from __future__ import annotations

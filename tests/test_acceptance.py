@@ -86,7 +86,7 @@ def test_c2_model1_desk_scale():
         ),
         master_seed=SEED,
     )
-    summary = ev.run(spec, threads=3).summary()
+    summary = ev.run(spec).summary()
     elapsed = time.time() - t0
     qda_mean, qda_se, _ = summary["qda5"]
     lda_mean, lda_se, _ = summary["lda2"]
@@ -120,7 +120,7 @@ def test_c3_model2_knn_cell():
         ),
         master_seed=SEED,
     )
-    summary = ev.run(spec, threads=3).summary()
+    summary = ev.run(spec).summary()
     knn_mean, knn_se, _ = summary["knn2"]
     qda_mean, qda_se, _ = summary["qda5"]
     ok_value = abs(knn_mean - 15.02) <= 2.5
@@ -152,7 +152,7 @@ def test_c4_ensemble_beats_full_dimension_knn():
         ),
         master_seed=SEED,
     )
-    summary = ev.run(spec, threads=3).summary()
+    summary = ev.run(spec).summary()
     rp_mean, rp_se, _ = summary["rp"]
     knn_mean, knn_se, _ = summary["knn"]
     margin = knn_mean - rp_mean

@@ -262,6 +262,33 @@ class TestSelectD:
         ]) == 0
         assert "selected d =" in capsys.readouterr().out
 
+    def test_threads_flag_is_ignored(self, tmp_path, capsys):
+        args = [
+            "select-d", "--model", "1", "--n", "30", "--p", "5", "--base", "knn",
+            "--candidates", "1,3", "--B1", "4", "--B2", "2", "--seed", "5",
+        ]
+        plain, four = tmp_path / "plain.csv", tmp_path / "four.csv"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--threads", "4", "--out", str(four)]) == 0
+        capsys.readouterr()
+        assert plain.read_bytes() == four.read_bytes()
+
+    def test_sample_split_mean_uses_held_out_count(self, tmp_path, capsys):
+        n = 41  # odd: the held-out half has n - n // 2 = 21 points, not 20
+        out_csv = tmp_path / "profile.csv"
+        assert main([
+            "select-d", "--model", "2", "--n", str(n), "--p", "5", "--base", "lda",
+            "--estimator", "sample_split", "--candidates", "1,2,4",
+            "--B1", "5", "--B2", "2", "--seed", "3", "--out", str(out_csv),
+        ]) == 0
+        printed = dict(re.findall(r"^  d=(\d+): mean winner estimate (\S+)$",
+                                  capsys.readouterr().out, re.M))
+        _, rows = _data_rows(out_csv)
+        assert sorted(printed) == sorted({r[0] for r in rows})
+        for d, text in printed.items():
+            counts = [int(r[2]) for r in rows if r[0] == d]
+            assert text == f"{np.mean(counts) / (n - n // 2):.4f}"
+
 
 class TestDiagnoseAndBayes:
     def test_bayes_risk_output(self, capsys):

@@ -117,7 +117,7 @@ class TestFit:
     def test_bit_identical_reruns_and_thread_counts(self):
         X, y = make_blobs(20, 6, 2.0, seed=50)
         cfg = en.EnsembleConfig(B1=7, B2=3, d=2, base="knn", master_seed=4)
-        blobs = [serialize.dumps(en.fit(X, y, cfg, threads=t)) for t in (1, 1, 3)]
+        blobs = [serialize.dumps(en.fit(X, y, cfg)) for _ in range(3)]
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_master_seed_changes_projections(self):
@@ -564,16 +564,14 @@ class TestSelectD:
         cfg = en.EnsembleConfig(B1=3, B2=2, d=1, base="lda", master_seed=2)
         _, profile = en.select_d_profile(X, y, [2], cfg)
         for b1 in range(3):
-            blk, _ = en._run_block(
-                en.replace(cfg, d=2), X, y, np.arange(len(y)), b1, key_head=(2,)
-            )
+            blk = en._run_block(en.replace(cfg, d=2), X, y, b1, key_head=(2,))
             assert profile[2][b1] == blk.error_count
 
     def test_thread_invariance(self):
         X, y = self._data()
         cfg = en.EnsembleConfig(B1=5, B2=2, d=1, base="knn", master_seed=3)
-        a = en.select_d_profile(X, y, [1, 2, 4], cfg, threads=1)
-        b = en.select_d_profile(X, y, [1, 2, 4], cfg, threads=3)
+        a = en.select_d_profile(X, y, [1, 2, 4], cfg)
+        b = en.select_d_profile(X, y, [1, 2, 4], cfg)
         assert a[0] == b[0]
         for d in a[1]:
             np.testing.assert_array_equal(a[1][d], b[1][d])

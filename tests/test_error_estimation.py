@@ -155,8 +155,9 @@ class TestSampleSplit:
 
     def test_rejects_empty_side(self):
         X, y = make_blobs(6, 2, 2.0, seed=23)
-        with pytest.raises(ValueError):
-            ee._estimate_full(X, y, bc.BaseSpec("lda"), "sample_split", split=0)
+        # one point splits into an empty fitting half
+        with pytest.raises(ValueError, match="both sides"):
+            ee._estimate_full(X[:1], y[:1], bc.BaseSpec("lda"), "sample_split")
 
 
 def test_unknown_estimator_rejected():

@@ -110,7 +110,7 @@ class TestRun:
         )
         r1 = ev.run(base)
         r2 = ev.run(flipped)
-        r3 = ev.run(base, threads=3)
+        r3 = ev.run(base)
         for mid in ("rp", "knn3", "const"):
             np.testing.assert_array_equal(r1.errors[mid], r2.errors[mid])
             np.testing.assert_array_equal(r1.errors[mid], r3.errors[mid])
