@@ -21,6 +21,10 @@ coordinates elsewhere.
 Model 4: both classes are Gaussian with block-structured covariances,
 rotated by a fixed p x p rotation drawn once from rotation_seed. The
 class signal lives in the first three pre-rotation coordinates.
+
+``sample``, ``bayes_risk`` and the cached model factors run the bundled
+OpenBLAS on one thread and restore the caller's thread count on return,
+so a seeded sample is the same whatever that count.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, log_expit
 
+from . import _blas
 from .errors import DataFormatError
 from .projections import sample_haar
 from .rng import make_rng
@@ -87,6 +92,7 @@ def _equicorrelated(size: int, off_diagonal: float = 0.5) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+@_blas.single_thread
 def _derived(spec: ModelSpec) -> dict:
     """Means, covariance factorisations and the fixed rotation, cached."""
     p = spec.p
@@ -157,6 +163,7 @@ def _sample_class(spec: ModelSpec, r: int, n: int, rng: np.random.Generator) -> 
     return z @ der["rotation"].T
 
 
+@_blas.single_thread
 def sample(spec: ModelSpec, n: int, rng: np.random.Generator, with_eta: bool = False) -> LabelledSample:
     """Draw n labelled points: labels first, then class-conditional features."""
     y = np.where(rng.random(n) < spec.pi_1, 1, 2).astype(np.int64)
@@ -249,6 +256,7 @@ def eta(spec: ModelSpec, X) -> np.ndarray:
     return out[0] if single else out
 
 
+@_blas.single_thread
 def bayes_risk(spec: ModelSpec, mc_n: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of E[min(eta, 1 - eta)] with its standard error.
 

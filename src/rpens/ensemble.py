@@ -9,7 +9,10 @@ reaches the threshold ``alpha_hat``.
 
 Fits run serially.  Everything downstream of the master seed is
 deterministic: every projection and every tie-break stream is derived from
-a keyed seed, never from call order.
+a keyed seed, never from call order.  The public entries that run BLAS
+(``fit``, ``votes_many``, ``select_d_profile``, ``select_block_winner``)
+run the bundled OpenBLAS on one thread and restore the caller's thread
+count on return, so their results do not depend on it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _blas
 from . import base_classifiers as bc
 from . import error_estimation as ee
 from . import projections as pj
@@ -212,6 +216,7 @@ def _run_block(cfg, X, y, b1, *, key_head=()) -> _BlockResult:
         raise BlockFailureError(f"{exc} in block {b1}") from None
 
 
+@_blas.single_thread
 def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
     """Pick the projection in ``block`` with the smallest estimated error.
 
@@ -233,6 +238,7 @@ def _check_finite(X) -> None:
         raise DataFormatError("input contains NaN or infinite values")
 
 
+@_blas.single_thread
 def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
     """Fit the ensemble on labelled data."""
     X = np.asarray(X, dtype=np.float64)
@@ -269,6 +275,7 @@ def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
     )
 
 
+@_blas.single_thread
 def votes_many(model: EnsembleModel, X) -> np.ndarray:
     """Class-1 vote counts (integers out of B1) for each row of X."""
     X = np.asarray(X, dtype=np.float64)
@@ -451,6 +458,7 @@ def select_d(X, y, candidate_ds, cfg: EnsembleConfig) -> int:
     return chosen
 
 
+@_blas.single_thread
 def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig):
     """As select_d, also returning {d: per-block winner error counts}."""
     candidates = sorted(set(int(d) for d in candidate_ds))

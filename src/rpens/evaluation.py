@@ -10,6 +10,10 @@ Comparators are the unprojected full-dimension classifiers.  LDA refuses
 outright when n <= p + 2 and QDA refuses any repetition where the smaller
 class has at most p + 1 members; refusals are recorded as NaN and surface
 as N/A in reports rather than as crashes.
+
+``run`` and the two theory diagnostics run the bundled OpenBLAS on one
+thread and restore the caller's thread count on return, so their results
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _blas
 from . import base_classifiers as bc
 from . import datagen as dg
 from . import ensemble as en
@@ -209,6 +214,7 @@ def _run_rep(spec: ExperimentSpec, pool, rep: int) -> dict:
     return out
 
 
+@_blas.single_thread
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the experiment; see the module docstring for the protocol."""
     pool = None
@@ -256,6 +262,7 @@ def _winner_predictions(cfg, X_tr, y_tr, X_te, key_head, n_winners):
     return votes
 
 
+@_blas.single_thread
 def theorem1_rate_diagnostic(
     model: dg.ModelSpec,
     cfg: en.EnsembleConfig,
@@ -351,6 +358,7 @@ class Theorem2Result:
     mean_winner_risk: float
 
 
+@_blas.single_thread
 def theorem2_bound_diagnostic(
     model: dg.ModelSpec,
     cfg: en.EnsembleConfig,
