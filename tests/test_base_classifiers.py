@@ -26,6 +26,31 @@ def _lda_line(pi_1: float):
     return Z, y
 
 
+def _count_loo_refits(monkeypatch):
+    """Indices of the points qda_loo_labels sends to an explicit refit."""
+    calls = []
+    refit = bc._qda_loo_refit_point
+
+    def counting(Z, y, i, d, counts):
+        calls.append(int(i))
+        return refit(Z, y, i, d, counts)
+
+    monkeypatch.setattr(bc, "_qda_loo_refit_point", counting)
+    return calls
+
+
+def _assert_equals_explicit_qda_refits(Z, y, labels, failed):
+    for i in range(len(y)):
+        keep = np.arange(len(y)) != i
+        try:
+            model = bc.fit_qda(Z[keep], y[keep])
+        except (errors.SingularCovarianceError, errors.InvalidDimensionError):
+            assert failed[i], i
+            continue
+        assert not failed[i], i
+        assert labels[i] == model.predict_many(Z[i][None, :])[0], i
+
+
 class TestLda:
     def test_hand_fit_one_dimension(self):
         Z = np.array([[-1.0], [1.0], [9.0], [11.0]])
@@ -132,6 +157,21 @@ class TestLda:
         with pytest.raises(errors.SingularCovarianceError):
             bc.fit_lda(Z, np.array([1, 1, 2, 2]))
 
+    def test_ridge_retry_on_collinear_sample(self):
+        # Two equal columns with exact integer moments: the pooled matrix is
+        # [[1, 1], [1, 1]], whose Cholesky pivot is exactly zero.
+        c = np.array([-1.0, 0.0, 1.0, 4.0, 5.0, 6.0])
+        Z = np.stack([c, c], axis=1)
+        y = np.array([1, 1, 1, 2, 2, 2])
+        pooled = np.ones((2, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(pooled)
+        m = bc.fit_lda(Z, y)
+        ridged = pooled + (bc.RIDGE_EPS * np.trace(pooled) / 2) * np.eye(2)
+        np.testing.assert_array_equal(m.sigma_hat, ridged)
+        np.testing.assert_allclose(m.omega_hat, np.linalg.inv(ridged), rtol=1e-6)
+        np.testing.assert_array_equal(m.predict_many(Z), y)
+
     def test_label_swap_flips_predictions(self):
         X, y = make_blobs(25, 3, 1.0, seed=4)
         m = bc.fit_lda(X, y)
@@ -202,6 +242,36 @@ class TestQda:
                 ref = bc.fit_qda(Z[keep], y[keep])
                 assert labels[i] == bc.predict_qda_many(ref, Z[i][None, :])[0], (trial, i)
                 keep[i] = True
+
+    def test_loo_slow_path_on_singular_class_scatter(self, monkeypatch):
+        # Class 1 lies on the line z2 = 2 z1 with integer moments, so its
+        # scatter [[4, 8], [8, 16]] has an exactly zero Cholesky pivot and
+        # every point takes the explicit refit.
+        t = np.array([-1.0, 0.0, 1.0, -1.0, 1.0])
+        Z1 = np.stack([t, 2.0 * t], axis=1)
+        Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
+        Z = np.vstack([Z1, Z2])
+        y = np.array([1] * 5 + [2] * 6)
+        dev = Z1 - Z1.mean(axis=0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(dev.T @ dev)
+        refits = _count_loo_refits(monkeypatch)
+        labels, failed = bc.qda_loo_labels(Z, y)
+        assert refits == list(range(len(y)))
+        assert not failed.all()
+        _assert_equals_explicit_qda_refits(Z, y, labels, failed)
+
+    def test_loo_refits_point_whose_deletion_is_degenerate(self, monkeypatch):
+        # Without its last point class 1 lies on the line z2 = 2 z1: the
+        # downdate pivot for that point is zero up to rounding.
+        Z1 = np.array([[-2.0, -4.0], [-1.0, -2.0], [1.0, 2.0], [2.0, 4.0], [0.0, 3.0]])
+        Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
+        Z = np.vstack([Z1, Z2])
+        y = np.array([1] * 5 + [2] * 6)
+        refits = _count_loo_refits(monkeypatch)
+        labels, failed = bc.qda_loo_labels(Z, y)
+        assert refits == [4]
+        _assert_equals_explicit_qda_refits(Z, y, labels, failed)
 
     def test_loo_flags_too_small_class(self):
         # deleting a class-2 point leaves d points: refit infeasible
