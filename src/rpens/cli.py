@@ -261,7 +261,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = sz.load_model(args.model_in)
-    data = dg.load_labelled_csv(args.data)
+    data = dg.load_labelled_csv(args.data, require_label=False)
     counts = en.votes_many(model, data.X)
     labels = en._counts_to_labels(counts, model.alpha_hat, model.B1)
     flags = {"model_in": args.model_in, "data": args.data}
@@ -271,9 +271,10 @@ def _cmd_predict(args) -> int:
         for i, (lab, c) in enumerate(zip(labels, counts))
     ]
     _write_csv(args.out, header, ("row", "prediction", "vote_fraction"), rows)
-    err = float(np.mean(labels != data.y))
     print(f"wrote {len(rows)} predictions to {args.out}")
-    print(f"error against file labels: {err:.4f}")
+    if data.y is not None:
+        err = float(np.mean(labels != data.y))
+        print(f"error against file labels: {err:.4f}")
     return 0
 
 
@@ -430,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("predict", help="predict with a serialized model")
     sp.add_argument("--model-in", required=True, help="model path from fit")
-    sp.add_argument("--data", required=True, help="CSV to predict on")
+    sp.add_argument("--data", required=True,
+                    help="CSV to predict on; the label column is optional")
     sp.add_argument("--out", required=True, help="predictions CSV")
     sp.set_defaults(func=_cmd_predict)
 

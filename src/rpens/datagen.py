@@ -22,9 +22,10 @@ Model 4: both classes are Gaussian with block-structured covariances,
 rotated by a fixed p x p rotation drawn once from rotation_seed. The
 class signal lives in the first three pre-rotation coordinates.
 
-``sample``, ``bayes_risk`` and the cached model factors run the bundled
-OpenBLAS on one thread and restore the caller's thread count on return,
-so a seeded sample is the same whatever that count.
+``sample``, ``log_density``, ``eta``, ``bayes_risk`` and the cached model
+factors run the bundled OpenBLAS on one thread and restore the caller's
+thread count on return, so a seeded sample and its densities are the
+same whatever that count.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class ModelSpec:
 @dataclass(eq=False)
 class LabelledSample:
     X: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     eta: np.ndarray | None = None
 
 
@@ -206,6 +207,7 @@ def _cauchy_log_density(X):
     return -X.shape[1] * math.log(math.pi) - np.log1p(X * X).sum(axis=1)
 
 
+@_blas.single_thread
 def log_density(spec: ModelSpec, r: int, X) -> np.ndarray:
     """Class-conditional log density of class r at each row of X.
 
@@ -240,6 +242,7 @@ def log_density(spec: ModelSpec, r: int, X) -> np.ndarray:
     return out[0] if single else out
 
 
+@_blas.single_thread
 def eta(spec: ModelSpec, X) -> np.ndarray:
     """Posterior probability of class 1 at each row of X."""
     X = np.asarray(X, dtype=np.float64)
@@ -285,15 +288,82 @@ def bayes_risk(spec: ModelSpec, mc_n: int, rng: np.random.Generator) -> tuple[fl
 # CSV loading
 
 
-def load_labelled_csv(path) -> LabelledSample:
+# csv.reader and float() agree with np.loadtxt on a file without these: a
+# quote may hide a comma or a line break, and loadtxt strips the ASCII
+# separators \x1c-\x1f around a number where float() refuses them.
+_SLOW_PATH_CHARS = '"\x1c\x1d\x1e\x1f'
+
+
+def load_labelled_csv(path, *, require_label: bool = True) -> LabelledSample:
     """Read a labelled dataset from CSV.
 
     Schema: UTF-8, a header row whose first column is named ``label``,
     labels in {1, 2} in the first column, and at least one feature
-    column of finite numbers with '.' as the decimal mark. Lines starting
-    with '#' are ignored, so files written by this package read back in.
-    Violations raise DataFormatError naming the offending line.
+    column of finite numbers with '.' as the decimal mark. Lines whose
+    first character is '#' are ignored, so files written by this package
+    read back in; a '#' anywhere else is part of a cell. Violations raise
+    DataFormatError naming the offending line.
+
+    With ``require_label=False`` the ``label`` column is optional: when
+    the header's first column is not ``label``, every column is a feature
+    and the returned ``y`` is None.
+
+    A well-formed file is parsed by numpy's C reader. Anything else (a
+    bad label, a quote, a cell numpy refuses, a ragged or non-finite row)
+    is read again cell by cell, which raises the error naming the line
+    and column, or accepts the few cells ``float()`` takes and numpy does
+    not (such as ``1_0``) with the same result.
     """
+    try:
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataFormatError(f"cannot open {path}: {exc}")
+    with handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            text = None
+    parsed = None if text is None else _parse_well_formed(text, require_label)
+    return parsed if parsed is not None else _parse_cells(path, require_label)
+
+
+def _parse_well_formed(text: str, require_label: bool) -> LabelledSample | None:
+    """The file parsed by ``np.loadtxt``, or None when anything looks wrong."""
+    if any(c in text for c in _SLOW_PATH_CHARS):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in text.split("\n") if line and not line.startswith("#")]
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    labelled = header[0].strip() == "label"
+    if require_label and not labelled:
+        return None
+    rows = lines[1:]
+    y = None
+    if labelled:
+        split = [row.partition(",") for row in rows]
+        labels = [label.strip() for label, _, _ in split]
+        if not set(labels) <= {"1", "2"}:
+            return None
+        y = np.array(labels, dtype=np.int64)
+        rows = [features for _, _, features in split]
+    # loadtxt skips empty lines; the shape check below catches any other
+    # row it reads differently.
+    if not all(rows):
+        return None
+    try:
+        X = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if X.shape != (len(rows), len(header) - labelled) or not np.isfinite(X).all():
+        return None
+    return LabelledSample(X=X, y=y)
+
+
+def _parse_cells(path, require_label: bool) -> LabelledSample:
+    """Cell-by-cell parse with ``csv.reader`` and ``float()``."""
     rows = []
     header = None
     try:
@@ -307,11 +377,12 @@ def load_labelled_csv(path) -> LabelledSample:
                 continue
             if header is None:
                 header = row
-                if not header or header[0].strip() != "label":
+                labelled = header[0].strip() == "label"
+                if require_label and not labelled:
                     raise DataFormatError(
                         f"{path}:{line_no}: first header column must be 'label'"
                     )
-                if len(header) < 2:
+                if labelled and len(header) < 2:
                     raise DataFormatError(f"{path}:{line_no}: no feature columns")
                 continue
             if len(row) != len(header):
@@ -323,20 +394,22 @@ def load_labelled_csv(path) -> LabelledSample:
         raise DataFormatError(f"{path}: missing header row")
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    k = int(labelled)  # index of the first feature column
     n = len(rows)
-    X = np.empty((n, len(header) - 1))
-    y = np.empty(n, dtype=np.int64)
+    X = np.empty((n, len(header) - k))
+    y = np.empty(n, dtype=np.int64) if labelled else None
     for i, (line_no, row) in enumerate(rows):
-        label = row[0].strip()
-        if label not in ("1", "2"):
-            raise DataFormatError(f"{path}:{line_no}: label must be 1 or 2, got {label!r}")
-        y[i] = int(label)
-        for j, cell in enumerate(row[1:]):
+        if labelled:
+            label = row[0].strip()
+            if label not in ("1", "2"):
+                raise DataFormatError(f"{path}:{line_no}: label must be 1 or 2, got {label!r}")
+            y[i] = int(label)
+        for j, cell in enumerate(row[k:]):
             try:
                 X[i, j] = float(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}:{line_no}: non-numeric value {cell!r} in column {header[j + 1]!r}"
+                    f"{path}:{line_no}: non-numeric value {cell!r} in column {header[j + k]!r}"
                 )
     # float() accepts 'nan' and 'inf'; one check after the loop finds them.
     bad = np.argwhere(~np.isfinite(X))
@@ -344,6 +417,6 @@ def load_labelled_csv(path) -> LabelledSample:
         i, j = bad[0]
         line_no, row = rows[i]
         raise DataFormatError(
-            f"{path}:{line_no}: non-finite value {row[j + 1]!r} in column {header[j + 1]!r}"
+            f"{path}:{line_no}: non-finite value {row[j + k]!r} in column {header[j + k]!r}"
         )
     return LabelledSample(X=X, y=y)

@@ -26,6 +26,8 @@ from rpens import serialize as sz
 from rpens.cli import main as cli_main
 from rpens.rng import make_rng
 
+from conftest import alpha_candidates, alpha_objective
+
 SEED = 20260816
 
 
@@ -433,12 +435,12 @@ def test_c8_alpha_optimality_over_candidates():
                 B1=9, B2=3, d=2, base=base, master_seed=int(gen.integers(0, 10**6))
             )
             model = en.fit(X, y, cfg)
-            value = en.alpha_objective(
+            value = alpha_objective(
                 model.train_vote_counts, model.train_labels, model.B1, model.alpha_hat
             )
             best = min(
-                en.alpha_objective(model.train_vote_counts, model.train_labels, model.B1, t)
-                for t in en.alpha_candidates(model.train_vote_counts, model.B1)
+                alpha_objective(model.train_vote_counts, model.train_labels, model.B1, t)
+                for t in alpha_candidates(model.train_vote_counts, model.B1)
             )
             assert value <= best, (base, trial)
             checked += 1

@@ -24,8 +24,9 @@ needs_openblas = pytest.mark.skipif(
     not _blas.LIBRARIES, reason="no bundled OpenBLAS found; pinning is a no-op"
 )
 
-# Model-4 sampling at p=500 and fits on a 400 x 500 sample: shapes at which
-# the last bits of the unpinned results move with the OpenBLAS thread count.
+# Model-4 sampling and posterior at p=500, and fits on a 400 x 500 sample:
+# shapes at which the last bits of the unpinned results move with the
+# OpenBLAS thread count.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -35,8 +36,10 @@ from rpens.rng import make_rng
 def sha(data):
     return hashlib.sha256(data).hexdigest()
 
-test = datagen.sample(datagen.ModelSpec(model_id=4, p=500), 300, make_rng(5, "probe"))
+spec = datagen.ModelSpec(model_id=4, p=500)
+test = datagen.sample(spec, 300, make_rng(5, "probe"))
 print("sample", sha(test.X.tobytes() + test.y.tobytes()))
+print("eta", sha(datagen.eta(spec, test.X).tobytes()))
 gen = np.random.default_rng(17)
 X = gen.standard_normal((400, 500))
 y = np.where(gen.random(400) < 0.5, 1, 2)
@@ -63,7 +66,7 @@ def _digests(blas_threads: int) -> str:
 @needs_openblas
 def test_outputs_do_not_depend_on_blas_threads():
     one, two = _digests(1), _digests(2)
-    assert len(one.splitlines()) == 7
+    assert len(one.splitlines()) == 8
     assert one == two
 
 

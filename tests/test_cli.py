@@ -16,6 +16,16 @@ def _data_rows(path):
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
 
 
+def _without_labels(labelled, path):
+    """Copy of a labelled CSV with its label column dropped."""
+    lines = labelled.read_text(encoding="utf-8").splitlines(True)
+    path.write_text(
+        "".join(line if line.startswith("#") else line.partition(",")[2] for line in lines),
+        encoding="utf-8",
+    )
+    return path
+
+
 SIM_ARGS = [
     "simulate", "--model", "1", "--n", "24", "--p", "4", "--d", "2",
     "--B1", "4", "--B2", "2", "--reps", "2", "--n-test", "50", "--seed", "7",
@@ -89,6 +99,27 @@ class TestFitPredict:
         for row, y in zip(rows, truth.y):
             assert int(row[1]) == int(y)
             assert re.fullmatch(r"\d+/6", row[2])
+
+    def test_predict_on_unlabelled_csv(self, tmp_path, synthetic_csv, capsys):
+        model_path = tmp_path / "model.json"
+        assert main([
+            "fit", "--train", str(synthetic_csv), "--model-out", str(model_path),
+            "--d", "2", "--B1", "6", "--B2", "2", "--seed", "3",
+        ]) == 0
+        unlabelled = _without_labels(synthetic_csv, tmp_path / "x.csv")
+        outputs = {}
+        for name, data in (("labelled", synthetic_csv), ("unlabelled", unlabelled)):
+            pred_path = tmp_path / f"{name}.csv"
+            capsys.readouterr()
+            assert main([
+                "predict", "--model-in", str(model_path),
+                "--data", str(data), "--out", str(pred_path),
+            ]) == 0
+            outputs[name] = capsys.readouterr().out, _data_rows(pred_path)
+        assert "error against file labels" in outputs["labelled"][0]
+        assert "error against file labels" not in outputs["unlabelled"][0]
+        assert "wrote 60 predictions" in outputs["unlabelled"][0]
+        assert outputs["unlabelled"][1] == outputs["labelled"][1]
 
     def test_config_file_merge_with_flag_override(self, tmp_path, synthetic_csv, capsys):
         cfg = tmp_path / "fit.cfg"
@@ -205,6 +236,41 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_unlabelled_feature_count_mismatch_is_3(self, tmp_path, synthetic_csv, capsys):
+        model_path = tmp_path / "model.json"
+        assert main([
+            "fit", "--train", str(synthetic_csv), "--model-out", str(model_path),
+            "--d", "2", "--B1", "4", "--B2", "2",
+        ]) == 0
+        capsys.readouterr()
+        # a header whose first column is not exactly 'label' makes the label
+        # column a seventh feature
+        relabelled = tmp_path / "relabelled.csv"
+        relabelled.write_text(
+            synthetic_csv.read_text(encoding="utf-8").replace("label,", "Label,", 1),
+            encoding="utf-8",
+        )
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("x1,x2\n0.0,0.1\n", encoding="utf-8")
+        for data in (relabelled, narrow):
+            code = main([
+                "predict", "--model-in", str(model_path),
+                "--data", str(data), "--out", str(tmp_path / "p.csv"),
+            ])
+            assert code == 3
+            assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "select-d"])
+    def test_unlabelled_training_file_is_3(self, tmp_path, synthetic_csv, capsys, command):
+        unlabelled = _without_labels(synthetic_csv, tmp_path / "x.csv")
+        args = {
+            "fit": ["fit", "--train", str(unlabelled), "--model-out", str(tmp_path / "m.json"),
+                    "--d", "2", "--B1", "3", "--B2", "3"],
+            "select-d": ["select-d", "--train", str(unlabelled), "--candidates", "2,3"],
+        }[command]
+        assert main(args) == 3
+        assert "first header column must be 'label'" in capsys.readouterr().err
 
     def test_degenerate_training_data_is_4(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from rpens import datagen as dg
 from rpens import rng
+from rpens.cli import main
+from rpens.errors import DataFormatError
 
 
 def _gen(seed=0):
@@ -261,3 +265,185 @@ class TestCsvLoading:
             dg.load_labelled_csv(self._write(tmp_path, "label,x\n"))
         with pytest.raises(DataFormatError, match="no feature columns"):
             dg.load_labelled_csv(self._write(tmp_path, "label\n1\n"))
+
+    def test_label_column_is_optional_on_request(self, tmp_path):
+        s = dg.load_labelled_csv(self._write(tmp_path, "x,y\n0.5,1.0\n2,3\n"), require_label=False)
+        assert s.y is None
+        assert s.X.tolist() == [[0.5, 1.0], [2.0, 3.0]]
+        s = dg.load_labelled_csv(self._write(tmp_path, "label,y\n1,1.0\n"), require_label=False)
+        assert s.y.tolist() == [1] and s.X.tolist() == [[1.0]]
+        with pytest.raises(DataFormatError, match=r":2: label must be 1 or 2, got '3'"):
+            dg.load_labelled_csv(self._write(tmp_path, "label,y\n3,1.0\n"), require_label=False)
+
+
+def _outcome(parse):
+    """(X bytes, X shape, y bytes or None) of a parse, or its error message."""
+    try:
+        s = parse()
+    except DataFormatError as exc:
+        return str(exc)
+    assert s.X.dtype == np.float64 and s.X.flags.c_contiguous
+    return s.X.tobytes(), s.X.shape, None if s.y is None else s.y.tobytes()
+
+
+def _check_paths_agree(path, require_label=True):
+    """The C parse, when it accepts a file, equals the cell-by-cell parse,
+    and the loader returns or raises exactly what the cell-by-cell parse does.
+    Returns whether the C parse accepted the file."""
+    slow = _outcome(lambda: dg._parse_cells(path, require_label))
+    fast = None
+    if path.exists():
+        fast = dg._parse_well_formed(path.read_bytes().decode("utf-8"), require_label)
+    if fast is not None:
+        assert _outcome(lambda: fast) == slow
+    assert _outcome(lambda: dg.load_labelled_csv(path, require_label=require_label)) == slow
+    return fast is not None
+
+
+# (file text, whether numpy's parse takes it, the cell-by-cell outcome: the
+# expected rows of X, or a pattern of the error message)
+_CASES = {
+    "comment_at_line_start": ("# a\nlabel,x\n# b\n1,0.5\n#c,d\n2,1.5\n", True, [[0.5], [1.5]]),
+    "hash_mid_line": ("label,x\n1,0.5 # note\n", False, r":2: non-numeric value '0.5 # note'"),
+    "hash_in_cell": ("label,x\n1,#0.5\n", False, r":2: non-numeric value '#0.5'"),
+    "hash_in_header_name": ("label,x#1\n1,0.5\n", True, [[0.5]]),
+    "indented_hash_is_data": ("label,x\n1,0.5\n  # note\n", False, r":3: expected 2 columns, got 1"),
+    "quoted_fields": ('"label","x"\n"1",0.5\n2,"1.5"\n', False, [[0.5], [1.5]]),
+    "quoted_comma": ('label,x\n1,"0,5"\n', False, r":2: non-numeric value '0,5'"),
+    "quoted_comment": ('"#x",1\nlabel,x\n1,2\n', False, [[2.0]]),
+    "quoted_line_break": ('label,x\n1,"0.5\n"\n', False, [[0.5]]),
+    # the quoted header name spans three lines, so csv reads a 3-column header
+    "quote_spanning_lines": ('label,"x\n1,2\n#",y\n1,5\n', False, r":2: expected 3 columns, got 2"),
+    "blank_lines": ("\nlabel,x\n\n1,0.5\n\n\n2,1\n\n", True, [[0.5], [1.0]]),
+    "whitespace_line": ("label,x\n1,0.5\n   \n2,1\n", False, r":3: expected 2 columns, got 1"),
+    "whitespace_line_first": (" \t\nlabel,x\n1,2\n", False, r":1: first header column must be 'label'"),
+    "whitespace_in_cells": ("label , x,y\n 1 , 0.5 ,\t-2 \n2,\xa01.5,3\u2003\n", True, [[0.5, -2.0], [1.5, 3.0]]),
+    "crlf": ("label,x\r\n1,0.5\r\n\r\n2,1.5\r\n", True, [[0.5], [1.5]]),
+    "bare_cr": ("label,x\r1,0.5\r\r2,1.5\r", True, [[0.5], [1.5]]),
+    "no_final_newline": ("label,x\n1,0.5\n2,1.5", True, [[0.5], [1.5]]),
+    "trailing_comma": ("label,x\n1,0.5,\n", False, r":2: expected 2 columns, got 3"),
+    "trailing_comma_everywhere": ("label,x,\n1,0.5,\n", False, r":2: non-numeric value '' in column ''"),
+    "empty_cell": ("label,x,y\n1,,0.5\n", False, r":2: non-numeric value '' in column 'x'"),
+    "label_only_row": ("label,x\n1\n", False, r":2: expected 2 columns, got 1"),
+    "label_1.0": ("label,x\n1.0,0.5\n", False, r":2: label must be 1 or 2, got '1.0'"),
+    "label_+1": ("label,x\n2,0.5\n+1,0.5\n", False, r":3: label must be 1 or 2, got '\+1'"),
+    "label_spaced_2": ("label,x\n 2 ,0.5\n", True, [[0.5]]),
+    "underscore_digits": ("label,x\n1,1_0\n", False, [[10.0]]),
+    "arabic_indic_digits": ("label,x\n1,\u0661\u0662\u0663\n", False, [[123.0]]),
+    "separator_char": ("label,x\n1,\x1c0.5\n", False, r":2: non-numeric value '\\x1c0.5'"),
+    "nan": ("label,x\n1,nan\n", False, r":2: non-finite value 'nan' in column 'x'"),
+    "minus_inf": ("label,x\n1,0.5\n2,-inf\n", False, r":3: non-finite value '-inf'"),
+    "infinity": ("label,x\n1,Infinity\n", False, r":2: non-finite value 'Infinity'"),
+    "overflow": ("label,x\n1,1e400\n", False, r":2: non-finite value '1e400'"),
+    "ragged": ("label,x,y\n1,0.5,1\n2,0.5\n", False, r":3: expected 3 columns, got 2"),
+    "no_feature_columns": ("label\n1\n", False, r":1: no feature columns"),
+    "no_rows": ("# a\nlabel,x\n", False, r"no data rows"),
+    "unlabelled": ("x,y\n0.5,1\n", False, r":1: first header column must be 'label'"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvFastPath:
+    @pytest.mark.parametrize("name", sorted(_CASES))
+    def test_agrees_with_cell_by_cell_parse(self, tmp_path, name):
+        text, fast, expected = _CASES[name]
+        f = tmp_path / "data.csv"
+        f.write_bytes(text.encode("utf-8"))
+        assert _check_paths_agree(f) == fast
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError, match=expected):
+                dg.load_labelled_csv(f)
+        else:
+            assert dg.load_labelled_csv(f).X.tolist() == expected
+
+    @pytest.mark.parametrize("text, fast", [
+        ("x,y\n0.5,1\n# c\n\n2,3\n", True),
+        ("x\r\n 0.5 \r\n", True),
+        ("label,x\n1,0.5\n", True),
+        ("label,x\n1\n", False),
+        ("x,y\n0.5\n", False),
+        ("x,y\n0.5,nan\n", False),
+        ("x\n1_0\n", False),
+        ("x\n\n  \n", False),
+        ("x\n", False),
+    ])
+    def test_unlabelled_agrees_with_cell_by_cell_parse(self, tmp_path, text, fast):
+        f = tmp_path / "data.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        assert _check_paths_agree(f, require_label=False) == fast
+
+    def test_undecodable_and_missing_files(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_bytes(b"label,x\n1,0.5\xff\n")
+        with pytest.raises(UnicodeDecodeError) as fast:
+            dg.load_labelled_csv(f)
+        with pytest.raises(UnicodeDecodeError) as slow:
+            dg._parse_cells(f, True)
+        assert str(fast.value) == str(slow.value)
+        assert _check_paths_agree(tmp_path / "missing.csv") is False
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        cells=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=1, max_size=6,
+        ),
+        labels=st.lists(st.sampled_from(["1", "2"]), min_size=6, max_size=6),
+        width=st.integers(1, 3),
+    )
+    def test_repr_floats_round_trip_on_the_fast_path(self, tmp_path, cells, labels, width):
+        f = tmp_path / "data.csv"
+        with open(f, "w", encoding="utf-8") as fh:
+            fh.write("label," + ",".join(f"x{j}" for j in range(width)) + "\n")
+            for label, row in zip(labels, cells):
+                fh.write(label + "," + ",".join(map(repr, row[:width])) + "\n")
+        assert _check_paths_agree(f)
+        s = dg.load_labelled_csv(f)
+        want = np.array([row[:width] for row in cells], dtype=np.float64)
+        assert s.X.tobytes() == want.tobytes()
+        assert s.y.tolist() == [int(lab) for lab in labels[: len(cells)]]
+
+
+class TestCsvFastPathGuard:
+    """Files in the shapes this package writes never reach the cell loop."""
+
+    @pytest.fixture
+    def no_cell_loop(self, monkeypatch):
+        def refuse(path, require_label):
+            raise AssertionError(f"{path} fell back to the cell-by-cell parse")
+
+        monkeypatch.setattr(dg, "_parse_cells", refuse)
+
+    def test_sample_written_with_repr(self, tmp_path, no_cell_loop):
+        drawn = dg.sample(dg.ModelSpec(model_id=2, p=7), 50, _gen(5))
+        f = tmp_path / "train.csv"
+        with open(f, "w", encoding="utf-8") as fh:
+            fh.write("label," + ",".join(f"x{j + 1}" for j in range(7)) + "\n")
+            for label, row in zip(drawn.y.tolist(), drawn.X.tolist()):
+                fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+        s = dg.load_labelled_csv(f)
+        assert s.X.tobytes() == drawn.X.tobytes()
+        assert s.y.tobytes() == drawn.y.tobytes()
+
+    def test_files_with_audit_headers(self, tmp_path, synthetic_csv, no_cell_loop, capsys):
+        sim = tmp_path / "sim.csv"
+        assert main([
+            "simulate", "--model", "1", "--n", "24", "--p", "4", "--d", "2",
+            "--B1", "4", "--B2", "2", "--reps", "1", "--n-test", "20", "--out", str(sim),
+        ]) == 0
+        audit = [line for line in sim.read_text(encoding="utf-8").splitlines(True)
+                 if line.startswith("#")]
+        assert len(audit) > 3
+        f = tmp_path / "data.csv"
+        f.write_text("".join(audit) + synthetic_csv.read_text(encoding="utf-8"), encoding="utf-8")
+        assert dg.load_labelled_csv(f).X.shape == (60, 6)
+
+        curves = tmp_path / "curves.csv"
+        assert main([
+            "fit", "--train", str(f), "--model-out", str(tmp_path / "m.json"),
+            "--d", "2", "--B1", "5", "--B2", "2", "--curves-out", str(curves),
+        ]) == 0
+        capsys.readouterr()
+        s = dg.load_labelled_csv(curves, require_label=False)
+        assert s.y is None and s.X.shape[1] == 3

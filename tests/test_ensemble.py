@@ -11,7 +11,7 @@ from rpens import ensemble as en
 from rpens import error_estimation as ee
 from rpens import errors, projections, rng, serialize
 
-from conftest import make_blobs
+from conftest import alpha_candidates, alpha_objective, make_blobs
 
 
 def _axis_projection(p, coord):
@@ -335,10 +335,10 @@ class TestEstimateAlpha:
                 # the inward nudge of an exact-zero minimizer may cost
                 # objective value; covered by the clamp test below
                 continue
-            got = en.alpha_objective(counts, labels, b1, a, priors=priors)
+            got = alpha_objective(counts, labels, b1, a, priors=priors)
             best = min(
-                en.alpha_objective(counts, labels, b1, t, priors=priors)
-                for t in en.alpha_candidates(counts, b1)
+                alpha_objective(counts, labels, b1, t, priors=priors)
+                for t in alpha_candidates(counts, b1)
             )
             assert got == best, trial
 
@@ -435,10 +435,10 @@ class TestEstimateAlpha:
         X, y = make_blobs(18, 5, 1.2, seed=61)
         cfg = en.EnsembleConfig(B1=11, B2=3, d=2, base="lda", master_seed=8)
         m = en.fit(X, y, cfg)
-        got = en.alpha_objective(m.train_vote_counts, m.train_labels, m.B1, m.alpha_hat)
+        got = alpha_objective(m.train_vote_counts, m.train_labels, m.B1, m.alpha_hat)
         best = min(
-            en.alpha_objective(m.train_vote_counts, m.train_labels, m.B1, t)
-            for t in en.alpha_candidates(m.train_vote_counts, m.B1)
+            alpha_objective(m.train_vote_counts, m.train_labels, m.B1, t)
+            for t in alpha_candidates(m.train_vote_counts, m.B1)
         )
         assert got == best
 
@@ -447,10 +447,10 @@ def _genuinely_clamped(counts, labels, b1, a, priors=None):
     """True when `a` is the inward nudge of a bare minimizer at 0."""
     if a != Fraction(1, 2 * b1):
         return False
-    got = en.alpha_objective(counts, labels, b1, a, priors=priors)
+    got = alpha_objective(counts, labels, b1, a, priors=priors)
     best = min(
-        en.alpha_objective(counts, labels, b1, t, priors=priors)
-        for t in en.alpha_candidates(counts, b1)
+        alpha_objective(counts, labels, b1, t, priors=priors)
+        for t in alpha_candidates(counts, b1)
     )
     return got > best
 

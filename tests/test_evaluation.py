@@ -251,6 +251,23 @@ class TestCsvSource:
         with pytest.raises(ValueError, match="pool"):
             ev.run(spec)
 
+    def test_unlabelled_file_refused(self, tmp_path, synthetic_csv):
+        lines = synthetic_csv.read_text(encoding="utf-8").splitlines(True)
+        unlabelled = tmp_path / "x.csv"
+        unlabelled.write_text(
+            "".join(line if line.startswith("#") else line.partition(",")[2] for line in lines),
+            encoding="utf-8",
+        )
+        spec = ev.ExperimentSpec(
+            source=ev.CsvSource(str(unlabelled)),
+            n_train=40,
+            n_test=None,
+            repetitions=1,
+            methods=(ev.MethodSpec("knn", ev.ComparatorSpec("knn", k=3)),),
+        )
+        with pytest.raises(errors.DataFormatError, match="first header column must be 'label'"):
+            ev.run(spec)
+
 
 class TestTheorem1:
     def _cfg(self, **kw):
