@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 import numpy as np
 
@@ -233,12 +233,7 @@ def _cmd_fit(args) -> int:
             merged[key] = flag
     if merged["d"] is None:
         raise ValueError("projected dimension required: pass --d or put d= in --config")
-    cfg = en.EnsembleConfig(
-        B1=merged["B1"], B2=merged["B2"], d=merged["d"], base=merged["base"],
-        knn_k=merged["knn_k"], estimator=merged["estimator"],
-        projection_kind=merged["projection"], alpha=merged["alpha"],
-        master_seed=merged["seed"],
-    )
+    cfg = _ensemble_config(argparse.Namespace(**merged), merged["seed"])
     train = dg.load_labelled_csv(args.train)
     model = en.fit(train.X, train.y, cfg)
     sz.save_model(model, args.model_out)
@@ -337,11 +332,7 @@ def _cmd_diagnose(args) -> int:
     model = dg.ModelSpec(model_id=args.model, p=args.p, pi_1=args.pi1)
     if args.alpha is None:
         raise ValueError("diagnostics need a fixed --alpha")
-    cfg = en.EnsembleConfig(
-        B1=1, B2=args.B2, d=args.d, base=args.base, knn_k=args.knn_k,
-        estimator=args.estimator, projection_kind=args.projection,
-        alpha=args.alpha, master_seed=args.seed,
-    )
+    cfg = replace(_ensemble_config(args, args.seed), B1=1)
     if args.check == "theorem1":
         grid = _parse_int_list(args.grid, "grid")
         res = ev.theorem1_rate_diagnostic(

@@ -372,24 +372,28 @@ def _parse_cells(path, require_label: bool) -> LabelledSample:
         raise DataFormatError(f"cannot open {path}: {exc}")
     with handle:
         reader = csv.reader(handle)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#")):
-                continue
-            if header is None:
-                header = row
-                labelled = header[0].strip() == "label"
-                if require_label and not labelled:
+        try:
+            for line_no, row in enumerate(reader, start=1):
+                if not row or (row[0].startswith("#")):
+                    continue
+                if header is None:
+                    header = row
+                    labelled = header[0].strip() == "label"
+                    if require_label and not labelled:
+                        raise DataFormatError(
+                            f"{path}:{line_no}: first header column must be 'label'"
+                        )
+                    if labelled and len(header) < 2:
+                        raise DataFormatError(f"{path}:{line_no}: no feature columns")
+                    continue
+                if len(row) != len(header):
                     raise DataFormatError(
-                        f"{path}:{line_no}: first header column must be 'label'"
+                        f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
                     )
-                if labelled and len(header) < 2:
-                    raise DataFormatError(f"{path}:{line_no}: no feature columns")
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            rows.append((line_no, row))
+                rows.append((line_no, row))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            # a file that is not UTF-8, or a cell over csv's field size limit
+            raise DataFormatError(f"{path}: {exc}") from None
     if header is None:
         raise DataFormatError(f"{path}: missing header row")
     if not rows:

@@ -301,12 +301,10 @@ def theorem1_rate_diagnostic(
 
     def ensemble_errors(votes, b1_values):
         counts = np.cumsum(votes, axis=0)
-        errs = []
-        for b1 in b1_values:
-            class1 = counts[b1 - 1] * alpha.denominator >= alpha.numerator * b1
-            pred = np.where(class1, 1, 2)
-            errs.append(float(np.mean(pred != y_te)))
-        return errs
+        return [
+            float(np.mean(en._counts_to_labels(counts[b1 - 1], alpha, b1) != y_te))
+            for b1 in b1_values
+        ]
 
     # n_ensembles independent pools of b1_max winners; the first B1 winners
     # of a pool form a valid B1-ensemble, so each pool yields every grid
@@ -394,10 +392,8 @@ def theorem2_bound_diagnostic(
     bayes_pt = np.minimum(eta, 1.0 - eta)
     winner_wrong_mean = np.where(votes, 1.0 - eta, eta).mean(axis=0)
 
-    counts = votes.sum(axis=0)
-    a = Fraction(alpha)
-    ens_class1 = counts * a.denominator >= a.numerator * n_winners
-    ens_wrong = np.where(ens_class1, 1.0 - eta, eta)
+    ens_labels = en._counts_to_labels(votes.sum(axis=0), Fraction(alpha), n_winners)
+    ens_wrong = np.where(ens_labels == 1, 1.0 - eta, eta)
 
     lhs_pt = ens_wrong - bayes_pt
     rhs_pt = scale * (winner_wrong_mean - bayes_pt)

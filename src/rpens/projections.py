@@ -8,7 +8,7 @@ projections that pick d distinct coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class Projection:
 
     entries: np.ndarray
     kind: str = "haar"
-    _frozen: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)

@@ -6,19 +6,28 @@ little-endian bytes in row-major order with their shape and dtype, floats
 as JSON numbers (Python's float repr round-trips exactly), and the voting
 threshold as an integer numerator/denominator pair, so a load followed by
 a save reproduces the original file byte for byte.
+
+The config, each projection and each base model is a record keyed by
+the fields of its dataclass, so the dataclass alone defines its layout:
+a field annotated ``np.ndarray`` is an array record, any other field a
+JSON value of its annotated type.  Base-model records add a ``kind``.
+Loading is a data boundary: a container whose records, types, counts or
+shapes do not fit together raises DataFormatError.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from dataclasses import fields
 from fractions import Fraction
+from typing import get_type_hints
 
 import numpy as np
 
 from .base_classifiers import KnnModel, LdaModel, QdaModel
 from .ensemble import EnsembleConfig, EnsembleModel
-from .errors import DataFormatError
+from .errors import DataFormatError, RpensError
 from .projections import Projection
 
 FORMAT_NAME = "rpens-ensemble"
@@ -27,128 +36,89 @@ FORMAT_VERSION = 1
 # Only these dtypes ever appear in a model.
 _DTYPES = ("<f8", "<i8")
 
+_MODEL_CLASSES = {"lda": LdaModel, "qda": QdaModel, "knn": KnnModel}
+_MODEL_KINDS = {cls: kind for kind, cls in _MODEL_CLASSES.items()}
+
+
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# Field name -> annotated type, per record class.
+_FIELD_TYPES = {
+    cls: _field_types(cls) for cls in (EnsembleConfig, Projection, *_MODEL_CLASSES.values())
+}
+
+_CONTAINER_KEYS = {"format", "version"} | {f.name for f in fields(EnsembleModel)}
+
 
 def _encode_array(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a)
-    if a.dtype == np.float64:
-        dtype = "<f8"
-    elif a.dtype == np.int64:
-        dtype = "<i8"
-    else:
+    dtype = a.dtype.newbyteorder("<").str
+    if dtype not in _DTYPES:
         raise TypeError(f"unsupported array dtype {a.dtype}")
-    payload = a.astype(dtype, copy=False).tobytes(order="C")
-    return {
-        "shape": list(a.shape),
-        "dtype": dtype,
-        "data": base64.b64encode(payload).decode("ascii"),
-    }
+    data = base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
+    return {"shape": list(a.shape), "dtype": dtype, "data": data}
 
 
 def _decode_array(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict) or obj.keys() != {"shape", "dtype", "data"}:
+        raise DataFormatError("array record needs exactly shape, dtype and data")
     dtype = obj["dtype"]
     if dtype not in _DTYPES:
         raise DataFormatError(f"unsupported array dtype {dtype!r}")
-    raw = base64.b64decode(obj["data"].encode("ascii"))
-    a = np.frombuffer(raw, dtype=dtype).reshape(obj["shape"])
+    try:
+        raw = base64.b64decode(obj["data"], validate=True)
+        a = np.frombuffer(raw, dtype=dtype).reshape(obj["shape"])
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"undecodable array: {exc}") from None
     return a.astype(dtype.replace("<", "="), copy=True)
 
 
+def _encode_record(obj) -> dict:
+    return {
+        name: _encode_array(getattr(obj, name)) if typ is np.ndarray else getattr(obj, name)
+        for name, typ in _FIELD_TYPES[type(obj)].items()
+    }
+
+
+def _decode_record(cls, obj: dict):
+    """An instance of ``cls`` from a record holding exactly its fields."""
+    types = _FIELD_TYPES[cls]
+    if not isinstance(obj, dict) or obj.keys() != types.keys():
+        raise DataFormatError(f"{cls.__name__} record needs keys {sorted(types)}")
+    values = {}
+    for name, typ in types.items():
+        value = obj[name]
+        if typ is np.ndarray:
+            value = _decode_array(value)
+        elif isinstance(value, bool) or not isinstance(value, typ):
+            raise DataFormatError(f"{cls.__name__}.{name} has JSON value {value!r}")
+        values[name] = value
+    try:
+        return cls(**values)
+    except (ValueError, RpensError) as exc:
+        raise DataFormatError(f"invalid {cls.__name__} record: {exc}") from None
+
+
 def _encode_base_model(model) -> dict:
-    if isinstance(model, LdaModel):
-        return {
-            "kind": "lda",
-            "pi_hat_1": model.pi_hat_1,
-            "pi_hat_2": model.pi_hat_2,
-            "mu_hat_1": _encode_array(model.mu_hat_1),
-            "mu_hat_2": _encode_array(model.mu_hat_2),
-            "sigma_hat": _encode_array(model.sigma_hat),
-            "omega_hat": _encode_array(model.omega_hat),
-        }
-    if isinstance(model, QdaModel):
-        return {
-            "kind": "qda",
-            "pi_hat_1": model.pi_hat_1,
-            "pi_hat_2": model.pi_hat_2,
-            "mu_hat_1": _encode_array(model.mu_hat_1),
-            "mu_hat_2": _encode_array(model.mu_hat_2),
-            "sigma_hat_1": _encode_array(model.sigma_hat_1),
-            "sigma_hat_2": _encode_array(model.sigma_hat_2),
-            "omega_hat_1": _encode_array(model.omega_hat_1),
-            "omega_hat_2": _encode_array(model.omega_hat_2),
-            "log_det_1": model.log_det_1,
-            "log_det_2": model.log_det_2,
-        }
-    if isinstance(model, KnnModel):
-        return {
-            "kind": "knn",
-            "points": _encode_array(model.points),
-            "labels": _encode_array(model.labels),
-            "k": model.k,
-            "tie_seed": model.tie_seed,
-            "point_ids": _encode_array(model.point_ids),
-        }
-    raise TypeError(f"unknown base model type {type(model).__name__}")
+    return dict(_encode_record(model), kind=_MODEL_KINDS[type(model)])
 
 
-def _decode_base_model(obj: dict):
-    kind = obj.get("kind")
-    if kind == "lda":
-        return LdaModel(
-            pi_hat_1=obj["pi_hat_1"],
-            pi_hat_2=obj["pi_hat_2"],
-            mu_hat_1=_decode_array(obj["mu_hat_1"]),
-            mu_hat_2=_decode_array(obj["mu_hat_2"]),
-            sigma_hat=_decode_array(obj["sigma_hat"]),
-            omega_hat=_decode_array(obj["omega_hat"]),
-        )
-    if kind == "qda":
-        return QdaModel(
-            pi_hat_1=obj["pi_hat_1"],
-            pi_hat_2=obj["pi_hat_2"],
-            mu_hat_1=_decode_array(obj["mu_hat_1"]),
-            mu_hat_2=_decode_array(obj["mu_hat_2"]),
-            sigma_hat_1=_decode_array(obj["sigma_hat_1"]),
-            sigma_hat_2=_decode_array(obj["sigma_hat_2"]),
-            omega_hat_1=_decode_array(obj["omega_hat_1"]),
-            omega_hat_2=_decode_array(obj["omega_hat_2"]),
-            log_det_1=obj["log_det_1"],
-            log_det_2=obj["log_det_2"],
-        )
-    if kind == "knn":
-        return KnnModel(
-            points=_decode_array(obj["points"]),
-            labels=_decode_array(obj["labels"]),
-            k=obj["k"],
-            tie_seed=obj["tie_seed"],
-            point_ids=_decode_array(obj["point_ids"]),
-        )
-    raise DataFormatError(f"unknown base model kind {kind!r}")
+def _decode_base_model(obj: dict, kind: str):
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        raise DataFormatError(f"base model kind must be the config's {kind!r}")
+    record = {key: value for key, value in obj.items() if key != "kind"}
+    return _decode_record(_MODEL_CLASSES[kind], record)
 
 
 def model_to_dict(model: EnsembleModel) -> dict:
-    cfg = model.config
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "config": {
-            "B1": cfg.B1,
-            "B2": cfg.B2,
-            "d": cfg.d,
-            "base": cfg.base,
-            "knn_k": cfg.knn_k,
-            "estimator": cfg.estimator,
-            "projection_kind": cfg.projection_kind,
-            "alpha": cfg.alpha,
-            "master_seed": cfg.master_seed,
-        },
-        "alpha_hat": {
-            "num": model.alpha_hat.numerator,
-            "den": model.alpha_hat.denominator,
-        },
-        "projections": [
-            {"kind": proj.kind, "entries": _encode_array(proj.entries)}
-            for proj in model.projections
-        ],
+        "config": _encode_record(model.config),
+        "alpha_hat": {"num": model.alpha_hat.numerator, "den": model.alpha_hat.denominator},
+        "projections": [_encode_record(proj) for proj in model.projections],
         "base_models": [_encode_base_model(bm) for bm in model.base_models],
         "train_vote_counts": _encode_array(model.train_vote_counts),
         "train_labels": _encode_array(model.train_labels),
@@ -158,29 +128,52 @@ def model_to_dict(model: EnsembleModel) -> dict:
     }
 
 
+def _list(obj: dict, key: str, item=dict) -> list:
+    value = obj[key]
+    if not isinstance(value, list) or any(type(v) is not item for v in value):
+        raise DataFormatError(f"{key} must be a list of {item.__name__} values")
+    return value
+
+
 def model_from_dict(obj: dict) -> EnsembleModel:
-    if obj.get("format") != FORMAT_NAME:
-        raise DataFormatError(
-            f"not an ensemble model container (format={obj.get('format')!r})"
-        )
-    version = obj.get("version")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported container version {version!r}")
-    cfg = EnsembleConfig(**obj["config"])
-    projections = tuple(
-        Projection(_decode_array(p["entries"]), kind=p["kind"])
-        for p in obj["projections"]
-    )
+    head = (obj.get("format"), obj.get("version")) if isinstance(obj, dict) else None
+    if head != (FORMAT_NAME, FORMAT_VERSION):
+        raise DataFormatError(f"not an ensemble model container: (format, version) = {head!r}")
+    if obj.keys() != _CONTAINER_KEYS:
+        raise DataFormatError(f"model container needs keys {sorted(_CONTAINER_KEYS)}")
+    cfg = _decode_record(EnsembleConfig, obj["config"])
+    alpha, block_m = obj["alpha_hat"], obj["block_m"]
+    if not isinstance(alpha, dict) or alpha.keys() != {"num", "den"}:
+        raise DataFormatError("alpha_hat needs exactly num and den")
+    num, den = alpha["num"], alpha["den"]
+    if any(type(v) is not int for v in (num, den, block_m)):
+        raise DataFormatError("alpha_hat and block_m must hold integers")
+    if den == 0 or not 0 < Fraction(num, den) < 1:
+        raise DataFormatError(f"alpha_hat {num}/{den} is not in (0, 1)")
+    projections = [_decode_record(Projection, r) for r in _list(obj, "projections")]
+    base_models = [_decode_base_model(r, cfg.base) for r in _list(obj, "base_models")]
+    winner_indices = _list(obj, "winner_indices", int)
+    if not len(projections) == len(base_models) == len(winner_indices) == cfg.B1:
+        raise DataFormatError(f"projection, base-model and winner counts must equal B1={cfg.B1}")
+    p = projections[0].p
+    if any(proj.entries.shape != (cfg.d, p) for proj in projections):
+        raise DataFormatError(f"projections must all have shape ({cfg.d}, p)")
+    try:
+        ds = {bm.d for bm in base_models}
+    except IndexError:  # an array with too few dimensions to read d from
+        ds = None
+    if ds != {cfg.d}:
+        raise DataFormatError(f"base models must all work in d={cfg.d}")
     return EnsembleModel(
         config=cfg,
-        projections=projections,
-        base_models=tuple(_decode_base_model(bm) for bm in obj["base_models"]),
-        alpha_hat=Fraction(obj["alpha_hat"]["num"], obj["alpha_hat"]["den"]),
+        projections=tuple(projections),
+        base_models=tuple(base_models),
+        alpha_hat=Fraction(num, den),
         train_vote_counts=_decode_array(obj["train_vote_counts"]),
         train_labels=_decode_array(obj["train_labels"]),
-        winner_indices=tuple(obj["winner_indices"]),
+        winner_indices=tuple(winner_indices),
         block_error_counts=_decode_array(obj["block_error_counts"]),
-        block_m=obj["block_m"],
+        block_m=block_m,
     )
 
 
@@ -189,6 +182,8 @@ def dumps(model: EnsembleModel) -> str:
 
 
 def loads(text: str) -> EnsembleModel:
+    if not text.isascii():
+        raise DataFormatError("invalid model container: non-ASCII characters")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -202,5 +197,9 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read model {path}: {exc}") from None
+    return loads(text)

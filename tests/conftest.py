@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import base64
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,3 +64,52 @@ def alpha_candidates(vote_counts, b1):
         (a + b) / 2 for a, b in zip(fracs, fracs[1:])
     )
     return sorted(cands)
+
+
+def _edit(change):
+    """Damage that applies ``change`` to the parsed container of a model file."""
+
+    def damage(text: str) -> bytes:
+        obj = json.loads(text)
+        change(obj)
+        return json.dumps(obj).encode("ascii")
+
+    return damage
+
+
+def _array_record(a):
+    data = base64.b64encode(a.tobytes()).decode("ascii")
+    return {"shape": list(a.shape), "dtype": "<f8", "data": data}
+
+
+# Ways to damage the text of a saved lda model (d=2, p=5, B1 >= 2), each of
+# which loading must refuse as a data error.
+DAMAGED_MODELS = {
+    "missing_base_model_key": _edit(lambda o: o["base_models"][0].pop("pi_hat_1")),
+    "extra_base_model_key": _edit(lambda o: o["base_models"][0].update(extra=0.5)),
+    "missing_top_level_key": _edit(lambda o: o.pop("block_m")),
+    "top_level_list": lambda text: b"[]",
+    "fewer_base_models_than_B1": _edit(lambda o: o["base_models"].pop()),
+    "truncated_array": _edit(
+        lambda o: o["projections"][0]["entries"].update(
+            data=o["projections"][0]["entries"]["data"][:-7]
+        )
+    ),
+    "wrongly_typed_config_value": _edit(lambda o: o["config"].update(B1=str(o["config"]["B1"]))),
+    "extra_config_key": _edit(lambda o: o["config"].update(threads=1)),
+    "non_ascii_bytes": lambda text: text.encode("ascii").replace(b'"lda"', b'"l\xe9a"', 1),
+    "zero_denominator": _edit(lambda o: o["alpha_hat"].update(den=0)),
+    "base_kind_differs_from_config": _edit(lambda o: o["base_models"][0].update(kind="qda")),
+    "alpha_hat_of_one": _edit(lambda o: o["alpha_hat"].update(num=o["alpha_hat"]["den"])),
+    "boolean_config_value": _edit(lambda o: o["config"].update(B2=True)),
+    "fewer_winners_than_B1": _edit(lambda o: o["winner_indices"].pop()),
+    "projection_of_other_p": _edit(
+        lambda o: o["projections"][1].update(entries=_array_record(np.eye(2, 4)))
+    ),
+    "base_model_of_other_d": _edit(
+        lambda o: o["base_models"][0].update(mu_hat_1=_array_record(np.zeros(3)))
+    ),
+    "base_model_without_d": _edit(
+        lambda o: o["base_models"][0].update(mu_hat_1=_array_record(np.zeros(())))
+    ),
+}

@@ -6,6 +6,8 @@ import pytest
 from rpens import datagen as dg
 from rpens.cli import main
 
+from conftest import DAMAGED_MODELS
+
 
 def _read(path):
     return path.read_text(encoding="utf-8")
@@ -201,6 +203,40 @@ class TestExitCodes:
         ])
         assert code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED_MODELS) + ["directory"])
+    def test_damaged_model_file_is_3(self, tmp_path, synthetic_csv, capsys, case):
+        model_path = tmp_path / "model.json"
+        assert main([
+            "fit", "--train", str(synthetic_csv), "--model-out", str(model_path),
+            "--d", "2", "--B1", "4", "--B2", "2",
+        ]) == 0
+        capsys.readouterr()
+        if case == "directory":
+            model_path = tmp_path
+        else:
+            model_path.write_bytes(DAMAGED_MODELS[case](model_path.read_text(encoding="ascii")))
+        out = tmp_path / "p.csv"
+        code = main([
+            "predict", "--model-in", str(model_path), "--data", str(synthetic_csv),
+            "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        "# caf\xe9\nlabel,x\n1,0.5\n2,1.5\n".encode("latin-1"),
+        b"label,x\n1," + b"1" * 200_000 + b"x\n2,1.5\n",
+    ], ids=["not_utf8", "cell_over_csv_field_limit"])
+    def test_unreadable_training_file_is_3(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        code = main([
+            "fit", "--train", str(bad), "--model-out", str(tmp_path / "m.json"), "--d", "1",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"data error: {bad}")
 
     @pytest.mark.parametrize("base", ["knn", "lda", "qda"])
     @pytest.mark.parametrize("cell", ["nan", "inf"])

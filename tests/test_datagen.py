@@ -375,9 +375,9 @@ class TestCsvFastPath:
     def test_undecodable_and_missing_files(self, tmp_path):
         f = tmp_path / "data.csv"
         f.write_bytes(b"label,x\n1,0.5\xff\n")
-        with pytest.raises(UnicodeDecodeError) as fast:
+        with pytest.raises(DataFormatError) as fast:
             dg.load_labelled_csv(f)
-        with pytest.raises(UnicodeDecodeError) as slow:
+        with pytest.raises(DataFormatError) as slow:
             dg._parse_cells(f, True)
         assert str(fast.value) == str(slow.value)
         assert _check_paths_agree(tmp_path / "missing.csv") is False

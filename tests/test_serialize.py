@@ -1,13 +1,15 @@
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rpens import base_classifiers as bc
 from rpens import ensemble as en
 from rpens import errors, serialize
 
-from conftest import make_blobs
+from conftest import DAMAGED_MODELS, make_blobs
 
 
 def _fit(base, seed=100, **kw):
@@ -99,3 +101,27 @@ class TestFormat:
             serialize._encode_array(np.zeros(3, dtype=np.float32))
         with pytest.raises(errors.DataFormatError):
             serialize._decode_array({"shape": [1], "dtype": "<f4", "data": "AAAAAA=="})
+
+
+class TestLoadBoundary:
+    @pytest.mark.parametrize("case", sorted(DAMAGED_MODELS))
+    def test_damaged_container_is_a_data_error(self, case, tmp_path):
+        m, _ = _fit("lda")
+        raw = DAMAGED_MODELS[case](serialize.dumps(m))
+        with pytest.raises(errors.DataFormatError):
+            serialize.loads(raw.decode("latin-1"))
+        path = tmp_path / "model.json"
+        path.write_bytes(raw)
+        with pytest.raises(errors.DataFormatError):
+            serialize.load_model(path)
+
+    def test_directory_path_is_a_data_error(self, tmp_path):
+        with pytest.raises(errors.DataFormatError, match="cannot read model"):
+            serialize.load_model(tmp_path)
+
+    def test_record_layout_is_the_dataclass_fields(self):
+        m, _ = _fit("qda")
+        obj = json.loads(serialize.dumps(m))
+        assert set(obj["config"]) == {f.name for f in fields(en.EnsembleConfig)}
+        assert set(obj["projections"][0]) == {"entries", "kind"}
+        assert set(obj["base_models"][0]) == {f.name for f in fields(bc.QdaModel)} | {"kind"}
