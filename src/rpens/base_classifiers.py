@@ -56,7 +56,8 @@ def _check_labelled(Z, y):
         raise ShapeMismatchError("training points must form a 2-d array")
     if y.shape != (Z.shape[0],):
         raise ShapeMismatchError("labels must be one per training point")
-    if not np.isin(y, (1, 2)).all():
+    # A boolean array would read True as class 1; refuse it with the rest.
+    if y.dtype == bool or not ((y == 1) | (y == 2)).all():
         raise ValueError("labels must take values in {1, 2}")
     return Z, y.astype(np.int64)
 

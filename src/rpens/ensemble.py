@@ -9,10 +9,14 @@ reaches the threshold ``alpha_hat``.
 
 Fits run serially.  Everything downstream of the master seed is
 deterministic: every projection and every tie-break stream is derived from
-a keyed seed, never from call order.  The public entries that run BLAS
-(``fit``, ``votes_many``, ``select_d_profile``, ``select_block_winner``)
-run the bundled OpenBLAS on one thread and restore the caller's thread
-count on return, so their results do not depend on it.
+a keyed seed, never from call order.  The candidates of a block, and the
+winners at prediction time, are projected together: one product of X with
+their stacked matrices for each group of at most p // d of them.  The
+public entries that run BLAS (``fit``, ``votes_many``, ``select_d_profile``,
+``select_block_winner``) run the bundled OpenBLAS on one thread and restore
+the caller's thread count on return, so their results do not depend on it.
+Bit-identical outputs hold for one numpy/BLAS build: BLAS does not promise
+that a stacked product equals the separate products in every bit.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ _TAG_TIEBREAK = 1
 # whole block.  Anything else (shape problems, missing classes) is a data
 # defect shared by every candidate and propagates immediately.
 _CANDIDATE_ERRORS = (SingularCovarianceError, EstimationFailureError)
+
+# Rows of test points projected by one stacked product at prediction time.
+# At p=500 and 50 winners, 2,048-row products raised the peak RSS of a
+# 2,000-row CLI predict by 1.7 MB; 512-row products kept it, at about the
+# same speed.
+_ROW_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -171,17 +181,44 @@ def _sample_projection(cfg: EnsembleConfig, p: int, *key) -> pj.Projection:
     return pj.sample_axis_aligned(p, cfg.d, rng)
 
 
-def _select(X, y, candidates, n, estimator, point_ids=None) -> _BlockResult:
-    """Fit ``n`` (projection, BaseSpec) candidates and keep the first strict minimum.
+def _projected(X, projections):
+    """Yield each projection's image of X, one stacked product per group.
+
+    A group holds at most p // d projections, so that its stacked image is
+    never wider than X.
+    """
+    size = max(1, X.shape[-1] // max(proj.d for proj in projections))
+    for start in range(0, len(projections), size):
+        yield from pj._apply_stack(projections[start:start + size], X)
+
+
+def _class1_votes(projections, base_models, X) -> np.ndarray:
+    """Boolean (len(projections), n) matrix: row i is winner i's class-1 votes.
+
+    Rows go through in chunks of ``_ROW_CHUNK``, so the stacked images of
+    one chunk stay small next to X.
+    """
+    votes = np.empty((len(projections), X.shape[0]), dtype=bool)
+    for start in range(0, X.shape[0], _ROW_CHUNK):
+        rows = X[start:start + _ROW_CHUNK]
+        for i, (model, Z) in enumerate(zip(base_models, _projected(rows, projections))):
+            votes[i, start:start + len(rows)] = model.predict_many(Z) == 1
+    return votes
+
+
+def _select(X, y, candidates, estimator, point_ids=None) -> _BlockResult:
+    """Fit the (projection, BaseSpec) candidates and keep the first strict minimum.
 
     Every candidate's error count is recorded, -1 where it failed to fit.
     The winner's per-point labels are its leave-one-out or in-sample
     predictions, the votes it casts on the training data.
     """
+    candidates = list(candidates)
+    n = len(candidates)
     counts = np.full(n, -1, dtype=np.int64)
     best = None
-    for idx, (proj, spec) in enumerate(candidates):
-        Z = proj.apply(X)
+    images = _projected(X, [proj for proj, _ in candidates])
+    for idx, ((proj, spec), Z) in enumerate(zip(candidates, images)):
         try:
             est, model, labels = ee._estimate_full(Z, y, spec, estimator, point_ids=point_ids)
         except _CANDIDATE_ERRORS:
@@ -211,7 +248,7 @@ def _run_block(cfg, X, y, b1, *, key_head=()) -> _BlockResult:
         for b2 in range(cfg.B2)
     )
     try:
-        return _select(X, y, candidates, cfg.B2, cfg.estimator_name)
+        return _select(X, y, candidates, cfg.estimator_name)
     except BlockFailureError as exc:
         raise BlockFailureError(f"{exc} in block {b1}") from None
 
@@ -229,7 +266,7 @@ def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
     X = np.asarray(X, dtype=np.float64)
     _check_finite(X)
     candidates = ((proj, base_spec) for proj in block)
-    blk = _select(X, np.asarray(y), candidates, len(block), estimator, point_ids)
+    blk = _select(X, np.asarray(y), candidates, estimator, point_ids)
     return blk.projection, blk.estimate, blk.model
 
 
@@ -286,10 +323,7 @@ def votes_many(model: EnsembleModel, X) -> np.ndarray:
             f"expected points in {model.p} dimensions, got array of shape {X.shape}"
         )
     _check_finite(X)
-    counts = np.zeros(X.shape[0], dtype=np.int64)
-    for proj, base_model in zip(model.projections, model.base_models):
-        counts += (base_model.predict_many(proj.apply(X)) == 1)
-    return counts
+    return _class1_votes(model.projections, model.base_models, X).sum(axis=0, dtype=np.int64)
 
 
 def votes(model: EnsembleModel, x) -> VoteFraction:

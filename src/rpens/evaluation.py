@@ -255,11 +255,10 @@ class Theorem1Result:
 
 def _winner_predictions(cfg, X_tr, y_tr, X_te, key_head, n_winners):
     """Boolean matrix: row i is winner i's class-1 votes on the test set."""
-    votes = np.empty((n_winners, X_te.shape[0]), dtype=bool)
-    for i in range(n_winners):
-        blk = en._run_block(cfg, X_tr, y_tr, i, key_head=key_head)
-        votes[i] = blk.model.predict_many(blk.projection.apply(X_te)) == 1
-    return votes
+    blocks = [en._run_block(cfg, X_tr, y_tr, i, key_head=key_head) for i in range(n_winners)]
+    return en._class1_votes(
+        [blk.projection for blk in blocks], [blk.model for blk in blocks], X_te
+    )
 
 
 @_blas.single_thread

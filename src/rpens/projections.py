@@ -125,3 +125,25 @@ def apply(projection: Projection, X: np.ndarray) -> np.ndarray:
         )
     Z = X @ projection.entries.T
     return Z[0] if single else Z
+
+
+def _apply_stack(projections, X: np.ndarray) -> list:
+    """Project an (n, p) array by several projections with one matrix product.
+
+    Stacks the projections' entries into one matrix S and computes
+    X @ S.T once.  Returns one C-contiguous (n, d) array per projection,
+    equal to ``apply(projection, X)`` except that BLAS may move the last
+    bits with the shape of the product.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    for proj in projections:
+        if X.ndim != 2 or X.shape[1] != proj.p:
+            raise ShapeMismatchError(
+                f"expected points with {proj.p} features, got shape {X.shape}"
+            )
+    image = X @ np.concatenate([proj.entries for proj in projections]).T
+    ends = np.cumsum([proj.d for proj in projections])
+    return [
+        np.ascontiguousarray(image[:, end - proj.d:end])
+        for proj, end in zip(projections, ends)
+    ]

@@ -52,6 +52,23 @@ _FIELD_TYPES = {
 
 _CONTAINER_KEYS = {"format", "version"} | {f.name for f in fields(EnsembleModel)}
 
+# Dtype, shape and optional value range of each base-model array, the
+# shape in terms of the projected dimension d and the number m of points a
+# knn model stores.
+_F, _I = np.float64, np.int64
+_BASE_ARRAYS = {
+    LdaModel: {
+        "mu_hat_1": (_F, "d"), "mu_hat_2": (_F, "d"),
+        "sigma_hat": (_F, "dd"), "omega_hat": (_F, "dd"),
+    },
+    QdaModel: {
+        "mu_hat_1": (_F, "d"), "mu_hat_2": (_F, "d"),
+        "sigma_hat_1": (_F, "dd"), "sigma_hat_2": (_F, "dd"),
+        "omega_hat_1": (_F, "dd"), "omega_hat_2": (_F, "dd"),
+    },
+    KnnModel: {"points": (_F, "md"), "labels": (_I, "m", 1, 2), "point_ids": (_I, "m")},
+}
+
 
 def _encode_array(a: np.ndarray) -> dict:
     dtype = a.dtype.newbyteorder("<").str
@@ -112,6 +129,27 @@ def _decode_base_model(obj: dict, kind: str):
     return _decode_record(_MODEL_CLASSES[kind], record)
 
 
+def _check_array(a, dtype, shape, name, low=None, high=None) -> None:
+    """Refuse an array of another dtype or shape, or with values outside [low, high]."""
+    if a.dtype != dtype or a.shape != shape:
+        raise DataFormatError(f"{name} must be {np.dtype(dtype).name} of shape {shape}")
+    if a.size and low is not None and not (low <= a.min() and a.max() <= high):
+        raise DataFormatError(f"{name} must hold values in [{low}, {high}]")
+
+
+def _check_base_model(bm, d: int) -> None:
+    """Refuse a base model whose arrays do not fit d and each other."""
+    name = type(bm).__name__
+    knn = isinstance(bm, KnnModel)
+    dims = {"d": d, "m": bm.labels.size if knn else 0}
+    for field, (dtype, axes, *bounds) in _BASE_ARRAYS[type(bm)].items():
+        shape = tuple(dims[axis] for axis in axes)
+        _check_array(getattr(bm, field), dtype, shape, f"{name}.{field}", *bounds)
+    m = dims["m"]
+    if knn and (len(np.unique(bm.point_ids)) != m or not 1 <= bm.k <= m):
+        raise DataFormatError(f"{name} needs distinct point_ids and 1 <= k <= {m}")
+
+
 def model_to_dict(model: EnsembleModel) -> dict:
     return {
         "format": FORMAT_NAME,
@@ -158,21 +196,28 @@ def model_from_dict(obj: dict) -> EnsembleModel:
     p = projections[0].p
     if any(proj.entries.shape != (cfg.d, p) for proj in projections):
         raise DataFormatError(f"projections must all have shape ({cfg.d}, p)")
-    try:
-        ds = {bm.d for bm in base_models}
-    except IndexError:  # an array with too few dimensions to read d from
-        ds = None
-    if ds != {cfg.d}:
-        raise DataFormatError(f"base models must all work in d={cfg.d}")
+    for bm in base_models:
+        _check_base_model(bm, cfg.d)
+    if block_m < 1 or not all(0 <= w < cfg.B2 for w in winner_indices):
+        raise DataFormatError(f"block_m must be positive and winner indices in [0, {cfg.B2})")
+    labels = _decode_array(obj["train_labels"])
+    n = labels.size
+    _check_array(labels, _I, (n,), "train_labels", 1, 2)
+    if not ((labels == 1).any() and (labels == 2).any()):
+        raise DataFormatError("train_labels must hold both classes")
+    vote_counts = _decode_array(obj["train_vote_counts"])
+    _check_array(vote_counts, _I, (n,), "train_vote_counts", 0, cfg.B1)
+    error_counts = _decode_array(obj["block_error_counts"])
+    _check_array(error_counts, _I, (cfg.B1, cfg.B2), "block_error_counts", -1, block_m)
     return EnsembleModel(
         config=cfg,
         projections=tuple(projections),
         base_models=tuple(base_models),
         alpha_hat=Fraction(num, den),
-        train_vote_counts=_decode_array(obj["train_vote_counts"]),
-        train_labels=_decode_array(obj["train_labels"]),
+        train_vote_counts=vote_counts,
+        train_labels=labels,
         winner_indices=tuple(winner_indices),
-        block_error_counts=_decode_array(obj["block_error_counts"]),
+        block_error_counts=error_counts,
         block_m=block_m,
     )
 

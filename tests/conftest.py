@@ -79,7 +79,21 @@ def _edit(change):
 
 def _array_record(a):
     data = base64.b64encode(a.tobytes()).decode("ascii")
-    return {"shape": list(a.shape), "dtype": "<f8", "data": data}
+    return {"shape": list(a.shape), "dtype": a.dtype.str, "data": data}
+
+
+def _set_array(key, make):
+    """Damage that replaces the top-level array ``key`` by ``make(n, B1, B2, block_m)``."""
+
+    def change(o):
+        n = o["train_labels"]["shape"][0]
+        o[key] = _array_record(make(n, o["config"]["B1"], o["config"]["B2"], o["block_m"]))
+
+    return _edit(change)
+
+
+def _set_base_array(key, a):
+    return _edit(lambda o: o["base_models"][0].update({key: _array_record(a)}))
 
 
 # Ways to damage the text of a saved lda model (d=2, p=5, B1 >= 2), each of
@@ -112,4 +126,34 @@ DAMAGED_MODELS = {
     "base_model_without_d": _edit(
         lambda o: o["base_models"][0].update(mu_hat_1=_array_record(np.zeros(())))
     ),
+    "omega_hat_of_other_d": _set_base_array("omega_hat", np.eye(3)),
+    "sigma_hat_of_other_d": _set_base_array("sigma_hat", np.eye(3)),
+    "mu_hat_2_of_other_d": _set_base_array("mu_hat_2", np.zeros(3)),
+    "integer_omega_hat": _set_base_array("omega_hat", np.eye(2, dtype=np.int64)),
+    "short_float_train_labels": _set_array("train_labels", lambda n, b1, b2, m: np.ones(3)),
+    "train_labels_of_other_length": _set_array(
+        "train_labels", lambda n, b1, b2, m: np.ones(n - 1, dtype=np.int64)
+    ),
+    "train_label_of_3": _set_array(
+        "train_labels", lambda n, b1, b2, m: np.arange(n, dtype=np.int64) % 2 + 2
+    ),
+    "train_labels_of_one_class": _set_array(
+        "train_labels", lambda n, b1, b2, m: np.ones(n, dtype=np.int64)
+    ),
+    "float_train_vote_counts": _set_array("train_vote_counts", lambda n, b1, b2, m: np.zeros(n)),
+    "train_vote_count_above_B1": _set_array(
+        "train_vote_counts", lambda n, b1, b2, m: np.full(n, b1 + 1, dtype=np.int64)
+    ),
+    "block_error_counts_of_other_shape": _set_array(
+        "block_error_counts", lambda n, b1, b2, m: np.zeros((b1, b2 + 1), dtype=np.int64)
+    ),
+    "block_error_count_below_minus_one": _set_array(
+        "block_error_counts", lambda n, b1, b2, m: np.full((b1, b2), -2, dtype=np.int64)
+    ),
+    "block_error_count_above_block_m": _set_array(
+        "block_error_counts", lambda n, b1, b2, m: np.full((b1, b2), m + 1, dtype=np.int64)
+    ),
+    "winner_index_of_B2": _edit(lambda o: o["winner_indices"].__setitem__(0, o["config"]["B2"])),
+    "negative_winner_index": _edit(lambda o: o["winner_indices"].__setitem__(0, -1)),
+    "block_m_of_zero": _edit(lambda o: o.update(block_m=0)),
 }

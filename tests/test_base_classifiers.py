@@ -402,3 +402,29 @@ class TestBaseSpec:
             bc.BaseSpec("lda", k=3)
         assert bc.BaseSpec("knn", k=7).resolve_k(100) == 7
         assert bc.BaseSpec("knn").resolve_k(100) == 10
+
+
+class TestLabels:
+    @pytest.mark.parametrize("bad", [0, 3, 1.5, "1"], ids=repr)
+    @pytest.mark.parametrize("kind", ["lda", "qda", "knn"])
+    def test_labels_outside_one_and_two_are_refused(self, kind, bad):
+        X, y = make_blobs(6, 2, 2.0, seed=3)
+        labels = [int(v) for v in y[:-1]] + [bad]
+        for damaged in (np.array(labels, dtype=object), np.array(labels), np.full(len(y), bad)):
+            with pytest.raises(ValueError, match=r"labels must take values in \{1, 2\}"):
+                bc.fit_base(bc.BaseSpec(kind), X, damaged)
+
+    @pytest.mark.parametrize("kind", ["lda", "qda", "knn"])
+    def test_boolean_labels_are_refused(self, kind):
+        # True == 1 in numpy, so only the dtype tells a boolean array apart.
+        X, y = make_blobs(6, 2, 2.0, seed=3)
+        for damaged in (np.ones(len(y), dtype=bool), y == 1):
+            with pytest.raises(ValueError, match=r"labels must take values in \{1, 2\}"):
+                bc.fit_base(bc.BaseSpec(kind), X, damaged)
+
+    def test_labels_of_other_numeric_dtypes_are_read(self):
+        X, y = make_blobs(6, 2, 2.0, seed=3)
+        ref = bc.fit_lda(X, y)
+        for dtype in (np.int8, np.uint16, np.float32, object):
+            m = bc.fit_lda(X, y.astype(dtype))
+            np.testing.assert_array_equal(m.omega_hat, ref.omega_hat)

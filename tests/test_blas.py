@@ -24,9 +24,9 @@ needs_openblas = pytest.mark.skipif(
     not _blas.LIBRARIES, reason="no bundled OpenBLAS found; pinning is a no-op"
 )
 
-# Model-4 sampling and posterior at p=500, and fits on a 400 x 500 sample:
-# shapes at which the last bits of the unpinned results move with the
-# OpenBLAS thread count.
+# Model-4 sampling and posterior at p=500, fits on a 400 x 500 sample, and
+# votes on more rows than one stacked product takes: shapes at which the
+# last bits of the unpinned results move with the OpenBLAS thread count.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -44,11 +44,13 @@ gen = np.random.default_rng(17)
 X = gen.standard_normal((400, 500))
 y = np.where(gen.random(400) < 0.5, 1, 2)
 X[y == 2, :10] += 0.5
+many = gen.standard_normal((2 * ensemble._ROW_CHUNK + 1, 500))
 for base in ("lda", "qda", "knn"):
     cfg = ensemble.EnsembleConfig(B1=6, B2=5, d=5, base=base, master_seed=3)
     model = ensemble.fit(X, y, cfg)
     print(base, "model", sha(serialize.dumps(model).encode()))
     print(base, "votes", sha(ensemble.votes_many(model, test.X).tobytes()))
+    print(base, "chunked votes", sha(ensemble.votes_many(model, many).tobytes()))
 """
 
 
@@ -66,7 +68,7 @@ def _digests(blas_threads: int) -> str:
 @needs_openblas
 def test_outputs_do_not_depend_on_blas_threads():
     one, two = _digests(1), _digests(2)
-    assert len(one.splitlines()) == 8
+    assert len(one.splitlines()) == 11
     assert one == two
 
 

@@ -113,6 +113,61 @@ class TestSelectBlockWinner:
             en.select_block_winner(X, y, block, bc.BaseSpec("lda"), "resubstitution")
 
 
+class TestStackedProjection:
+    """Candidates and winners are projected in groups of p // d per product."""
+
+    @pytest.mark.parametrize("base", ["lda", "qda", "knn"])
+    def test_votes_many_over_row_chunks_matches_per_projection_loop(self, base):
+        X, y = make_blobs(20, 6, 1.5, seed=60)
+        m = en.fit(X, y, en.EnsembleConfig(B1=7, B2=2, d=2, base=base, master_seed=5))
+        probes = np.random.default_rng(61).normal(size=(2 * en._ROW_CHUNK + 1, 6))
+        expected = sum(
+            (bm.predict_many(proj.apply(probes)) == 1).astype(np.int64)
+            for proj, bm in zip(m.projections, m.base_models)
+        )
+        np.testing.assert_array_equal(en.votes_many(m, probes), expected)
+
+    def test_fit_and_votes_call_the_stacked_product_once_per_group(self, monkeypatch):
+        groups = []
+        apply_stack = projections._apply_stack
+
+        def counting_apply_stack(projs, X):
+            groups.append(len(projs))
+            return apply_stack(projs, X)
+
+        def refuse_apply(*args, **kwargs):
+            raise AssertionError("projections.apply called")
+
+        monkeypatch.setattr(projections, "_apply_stack", counting_apply_stack)
+        monkeypatch.setattr(projections, "apply", refuse_apply)
+        X, y = make_blobs(13, 6, 2.0, seed=62)
+        cfg = en.EnsembleConfig(B1=4, B2=7, d=2, base="lda", master_seed=3)
+        m = en.fit(X, y, cfg)
+        assert groups == [3, 3, 1] * cfg.B1
+        groups.clear()
+        en.votes_many(m, X)
+        assert groups == [3, 1]
+
+    @pytest.mark.parametrize("base", ["lda", "qda", "knn"])
+    def test_block_of_several_groups_matches_per_candidate_fits(self, base):
+        X, y = make_blobs(13, 6, 1.0, seed=63)
+        cfg = en.EnsembleConfig(B1=4, B2=7, d=2, base=base, master_seed=8)
+        m = en.fit(X, y, cfg)
+        for b1 in range(cfg.B1):
+            counts = []
+            for b2 in range(cfg.B2):
+                proj = en._sample_projection(cfg, 6, b1, b2, en._TAG_PROJECTION)
+                spec = en._base_spec(cfg, rng.derive_int(cfg.master_seed, b1, b2, en._TAG_TIEBREAK))
+                try:
+                    est, _, _ = ee._estimate_full(proj.apply(X), y, spec, cfg.estimator_name)
+                except en._CANDIDATE_ERRORS:
+                    counts.append(-1)
+                else:
+                    counts.append(est.errors)
+            np.testing.assert_array_equal(m.block_error_counts[b1], counts)
+            assert m.winner_indices[b1] == counts.index(min(c for c in counts if c >= 0))
+
+
 class TestFit:
     def test_bit_identical_reruns_and_thread_counts(self):
         X, y = make_blobs(20, 6, 2.0, seed=50)

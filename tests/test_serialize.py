@@ -9,7 +9,7 @@ from rpens import base_classifiers as bc
 from rpens import ensemble as en
 from rpens import errors, serialize
 
-from conftest import DAMAGED_MODELS, make_blobs
+from conftest import DAMAGED_MODELS, _array_record, make_blobs
 
 
 def _fit(base, seed=100, **kw):
@@ -125,3 +125,28 @@ class TestLoadBoundary:
         assert set(obj["config"]) == {f.name for f in fields(en.EnsembleConfig)}
         assert set(obj["projections"][0]) == {"entries", "kind"}
         assert set(obj["base_models"][0]) == {f.name for f in fields(bc.QdaModel)} | {"kind"}
+
+    @pytest.mark.parametrize("base, field, make", [
+        ("qda", "omega_hat_1", lambda m: np.eye(3)),
+        ("qda", "sigma_hat_2", lambda m: np.eye(2)[:, :1]),
+        ("knn", "points", lambda m: np.zeros((m - 1, 2))),
+        ("knn", "points", lambda m: np.zeros((m, 3))),
+        ("knn", "labels", lambda m: np.arange(m, dtype=np.int64) % 2 + 2),
+        ("knn", "labels", lambda m: np.ones(m)),
+        ("knn", "point_ids", lambda m: np.zeros(m, dtype=np.int64)),
+        ("knn", "point_ids", lambda m: np.arange(m + 1, dtype=np.int64)),
+        ("knn", "k", lambda m: 0),
+        ("knn", "k", lambda m: m + 1),
+    ], ids=[
+        "qda_omega_of_other_d", "qda_flat_sigma", "knn_fewer_points_than_labels",
+        "knn_points_of_other_d", "knn_label_of_3", "knn_float_labels", "knn_repeated_point_ids",
+        "knn_more_point_ids_than_points", "knn_k_of_0", "knn_k_above_m",
+    ])
+    def test_base_model_arrays_must_fit_d_and_each_other(self, base, field, make):
+        m, _ = _fit(base)
+        obj = serialize.model_to_dict(m)
+        record = obj["base_models"][-1]
+        value = make(len(m.train_labels))
+        record[field] = value if isinstance(value, int) else _array_record(value)
+        with pytest.raises(errors.DataFormatError):
+            serialize.model_from_dict(obj)
