@@ -62,12 +62,21 @@ def _check_labelled(Z, y):
     return Z, y.astype(np.int64)
 
 
-def _class_split(Z, y):
+def _class_moments(Z, y):
+    """Size, mean and scatter (sum of squared deviations) of each class.
+
+    Returns ((n_1, mu_1, S_1), (n_2, mu_2, S_2)).
+    """
     m1 = y == 1
     m2 = y == 2
     if not m1.any() or not m2.any():
         raise MissingClassError("both classes must be present in the training set")
-    return Z[m1], Z[m2]
+    moments = []
+    for Zr in (Z[m1], Z[m2]):
+        mu = Zr.mean(axis=0)
+        dev = Zr - mu
+        moments.append((len(Zr), mu, dev.T @ dev))
+    return tuple(moments)
 
 
 def _invert_spd(sigma, context=""):
@@ -129,14 +138,8 @@ def fit_lda(Z, y) -> LdaModel:
     n, d = Z.shape
     if n < d + 2:
         raise InvalidDimensionError(f"pooled covariance needs n >= d + 2, got n={n}, d={d}")
-    Z1, Z2 = _class_split(Z, y)
-    n1, n2 = len(Z1), len(Z2)
-    mu1 = Z1.mean(axis=0)
-    mu2 = Z2.mean(axis=0)
-    dev1 = Z1 - mu1
-    dev2 = Z2 - mu2
-    pooled = (dev1.T @ dev1 + dev2.T @ dev2) / (n - 2)
-    omega, _, sigma = _invert_spd(pooled, context="(pooled)")
+    (n1, mu1, S1), (n2, mu2, S2) = _class_moments(Z, y)
+    omega, _, sigma = _invert_spd((S1 + S2) / (n - 2), context="(pooled)")
     return LdaModel(
         pi_hat_1=n1 / n,
         pi_hat_2=n2 / n,
@@ -215,20 +218,13 @@ def fit_qda(Z, y) -> QdaModel:
     """Fit per-class priors, means and covariances (divisor n_r - 1)."""
     Z, y = _check_labelled(Z, y)
     n, d = Z.shape
-    Z1, Z2 = _class_split(Z, y)
-    n1, n2 = len(Z1), len(Z2)
+    (n1, mu1, S1), (n2, mu2, S2) = _class_moments(Z, y)
     if min(n1, n2) < d + 1:
         raise InvalidDimensionError(
             f"per-class covariance needs min class size >= d + 1, got ({n1}, {n2}), d={d}"
         )
-    mu1 = Z1.mean(axis=0)
-    mu2 = Z2.mean(axis=0)
-    dev1 = Z1 - mu1
-    dev2 = Z2 - mu2
-    sigma1 = dev1.T @ dev1 / (n1 - 1)
-    sigma2 = dev2.T @ dev2 / (n2 - 1)
-    omega1, log_det_1, sigma1 = _invert_spd(sigma1, context="(class 1)")
-    omega2, log_det_2, sigma2 = _invert_spd(sigma2, context="(class 2)")
+    omega1, log_det_1, sigma1 = _invert_spd(S1 / (n1 - 1), context="(class 1)")
+    omega2, log_det_2, sigma2 = _invert_spd(S2 / (n2 - 1), context="(class 2)")
     return QdaModel(
         pi_hat_1=n1 / n,
         pi_hat_2=n2 / n,
@@ -266,7 +262,7 @@ def predict_qda_many(model, Z):
 _LOO_PIVOT_TOL = 1e-12
 
 
-def qda_loo_labels(Z, y):
+def qda_loo_labels(Z, y, model=None):
     """Leave-one-out predicted label of each training point under QDA.
 
     Returns (labels, failed). labels[i] is the prediction for point i by
@@ -274,46 +270,46 @@ def qda_loo_labels(Z, y):
     infeasible (deleted class left with fewer than d + 1 members) or
     numerically degenerate. Failed points carry no usable label.
 
-    Deleting one point changes a single class's scatter matrix by a
-    rank-one term, so the refitted inverse and log-determinant follow
-    from the full-data factorisation; ill-conditioned downdates fall
-    back to an explicit refit of that one point.
+    ``model`` is ``fit_qda(Z, y)``, fitted here when not given. Deleting
+    one point changes a single class's scatter matrix S_r by a rank-one
+    term, so the refitted inverse and log-determinant follow from the
+    model's factorisation: S_r^-1 is omega_hat_r / (n_r - 1) and
+    log det S_r is log_det_r + d log(n_r - 1). When fit_qda needed its
+    ridge for either class, every point takes an explicit refit; an
+    ill-conditioned downdate sends its one point there too.
     """
     Z, y = _check_labelled(Z, y)
+    if model is None:
+        model = fit_qda(Z, y)
     n, d = Z.shape
-    Z1, Z2 = _class_split(Z, y)
-    counts = {1: len(Z1), 2: len(Z2)}
     labels = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=bool)
 
-    stats = {}
-    slow_all = False
-    for r, Zr in ((1, Z1), (2, Z2)):
-        mu = Zr.mean(axis=0)
-        dev = Zr - mu
-        scatter = dev.T @ dev
-        try:
-            chol = np.linalg.cholesky((scatter + scatter.T) / 2.0)
-        except np.linalg.LinAlgError:
-            slow_all = True
-            break
-        inv_chol = solve_triangular(chol, np.eye(d), lower=True)
-        inv_scatter = inv_chol.T @ inv_chol
-        log_det_scatter = 2.0 * np.sum(np.log(np.diag(chol)))
-        stats[r] = (mu, inv_scatter, log_det_scatter)
+    fitted = (
+        (model.mu_hat_1, model.sigma_hat_1, model.omega_hat_1, model.log_det_1),
+        (model.mu_hat_2, model.sigma_hat_2, model.omega_hat_2, model.log_det_2),
+    )
+    counts = {}
+    h = {}
+    log_det_scatter = {}
+    ridged = False
+    for r, (nr, _, scatter), (mu, sigma, omega, log_det) in zip(
+        (1, 2), _class_moments(Z, y), fitted
+    ):
+        counts[r] = nr
+        # Only a ridge makes fit_qda's stored covariance differ from this.
+        cov = scatter / (nr - 1)
+        ridged |= not np.array_equal(sigma, (cov + cov.T) / 2.0)
+        # Quadratic form of every point around the class mean, scaled by
+        # the inverse scatter matrix.
+        u = Z - mu
+        h[r] = np.einsum("ij,jk,ik->i", u, omega / (nr - 1), u)
+        log_det_scatter[r] = log_det + d * np.log(nr - 1.0)
 
-    if slow_all:
+    if ridged:
         for i in range(n):
             labels[i], failed[i] = _qda_loo_refit_point(Z, y, i, d, counts)
         return labels, failed
-
-    # Quadratic forms of every point around both class means, scaled by
-    # the inverse scatter matrices.
-    h = {}
-    for r in (1, 2):
-        mu, inv_scatter, _ = stats[r]
-        u = Z - mu
-        h[r] = np.einsum("ij,jk,ik->i", u, inv_scatter, u)
 
     for r, s in ((1, 2), (2, 1)):
         idx = np.flatnonzero(y == r)
@@ -321,8 +317,6 @@ def qda_loo_labels(Z, y):
         if nr - 1 < d + 1:
             failed[idx] = True
             continue
-        mu_r, _, log_det_scatter_r = stats[r]
-        _, _, log_det_scatter_s = stats[s]
         c = nr / (nr - 1.0)
         h_r = h[r][idx]
         h_s = h[s][idx]
@@ -331,9 +325,9 @@ def qda_loo_labels(Z, y):
         # Deleted-class pieces after the rank-one downdate.
         with np.errstate(divide="ignore", invalid="ignore"):
             q_r = c * c * (nr - 2.0) * h_r / pivot
-            log_det_r = log_det_scatter_r + np.log(pivot) - d * np.log(nr - 2.0)
+            log_det_r = log_det_scatter[r] + np.log(pivot) - d * np.log(nr - 2.0)
         q_s = (ns - 1.0) * h_s
-        log_det_s = log_det_scatter_s - d * np.log(ns - 1.0)
+        log_det_s = log_det_scatter[s] - d * np.log(ns - 1.0)
 
         # Discriminant oriented as log(pi_1/pi_2) + ...; r plays class r.
         log_prior = np.log((nr - 1.0) / ns)
@@ -465,20 +459,18 @@ def knn_loo_labels(Z, y, k, tie_seed=0, point_ids=None):
 
     Uses the same k and the same tie-break discipline as prediction;
     deleting a point only removes it from its own neighbour candidates.
-    When fewer than k points remain, all of them vote.
+    When fewer than k points remain, all of them vote. The inputs are
+    checked as fit_knn checks them, with k clamped to n.
     """
-    Z, y = _check_labelled(Z, y)
+    model = fit_knn(Z, y, k=min(k, np.size(y)), tie_seed=tie_seed, point_ids=point_ids)
+    Z, y = model.points, model.labels
     n = len(y)
     if n < 2:
         raise InvalidDimensionError("leave-one-out needs at least two points")
-    if point_ids is None:
-        point_ids = np.arange(n, dtype=np.int64)
-    else:
-        point_ids = np.asarray(point_ids, dtype=np.int64)
     k_eff = min(k, n - 1)
     D = cdist(Z, Z, "sqeuclidean")
     np.fill_diagonal(D, np.inf)
-    counts = _knn_class1_counts(D, y, k_eff, tie_seed, point_ids, Z)
+    counts = _knn_class1_counts(D, y, k_eff, model.tie_seed, model.point_ids, Z)
     return np.where(2 * counts >= k_eff, 1, 2).astype(np.int64)
 
 

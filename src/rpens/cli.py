@@ -45,7 +45,7 @@ _DATA_ERRORS = (
     DataFormatError,
     ShapeMismatchError,
     MissingClassError,
-    FileNotFoundError,
+    OSError,
 )
 _NUMERICAL_ERRORS = (
     SingularCovarianceError,

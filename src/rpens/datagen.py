@@ -107,9 +107,6 @@ def _derived(spec: ModelSpec) -> dict:
         sigma2 = np.eye(p)
         sigma2[:5, :5] = _equicorrelated(5)
         out["sigma"] = (np.eye(p), sigma2)
-        out["chol"] = tuple(np.linalg.cholesky(s) for s in out["sigma"])
-        out["inv"] = tuple(np.linalg.inv(s) for s in out["sigma"])
-        out["log_det"] = tuple(float(np.linalg.slogdet(s)[1]) for s in out["sigma"])
     elif spec.model_id == 3:
         mu1 = np.zeros(p)
         mu1[:5] = 1.0
@@ -129,11 +126,11 @@ def _derived(spec: ModelSpec) -> dict:
             sigma[3:, 3:] = tail
             sigmas.append(sigma)
         out["sigma"] = tuple(sigmas)
+        out["rotation"] = sample_haar(p, p, make_rng(spec.rotation_seed, "rotation")).entries
+    if "sigma" in out:
         out["chol"] = tuple(np.linalg.cholesky(s) for s in out["sigma"])
         out["inv"] = tuple(np.linalg.inv(s) for s in out["sigma"])
         out["log_det"] = tuple(float(np.linalg.slogdet(s)[1]) for s in out["sigma"])
-        rotation = sample_haar(p, p, make_rng(spec.rotation_seed, "rotation")).entries
-        out["rotation"] = rotation
     return out
 
 

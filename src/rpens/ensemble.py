@@ -275,20 +275,30 @@ def _check_finite(X) -> None:
         raise DataFormatError("input contains NaN or infinite values")
 
 
-@_blas.single_thread
-def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
-    """Fit the ensemble on labelled data."""
+def _training_data(X, y, ds):
+    """X as float64 and y as an array, checked before any fitting.
+
+    Refuses unlabelled or non-finite data, any projected dimension in
+    ``ds`` outside [1, p] and data that lacks a class.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     bc._check_labelled(X, y)
     _check_finite(X)
-    n, p = X.shape
-    if not 1 <= cfg.d <= p:
-        raise InvalidDimensionError(
-            f"projected dimension {cfg.d} outside [1, {p}]"
-        )
+    p = X.shape[1]
+    for d in ds:
+        if not 1 <= d <= p:
+            raise InvalidDimensionError(f"projected dimension {d} outside [1, {p}]")
     if not (np.any(y == 1) and np.any(y == 2)):
         raise MissingClassError("training data must contain both classes")
+    return X, y
+
+
+@_blas.single_thread
+def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
+    """Fit the ensemble on labelled data."""
+    X, y = _training_data(X, y, [cfg.d])
+    n = X.shape[0]
     blocks = [_run_block(cfg, X, y, b1) for b1 in range(cfg.B1)]
     vote_counts = np.zeros(n, dtype=np.int64)
     for blk in blocks:
@@ -469,17 +479,11 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig):
     candidates = sorted(set(int(d) for d in candidate_ds))
     if not candidates:
         raise ValueError("candidate dimension set is empty")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    bc._check_labelled(X, y)
-    _check_finite(X)
-    p = X.shape[1]
+    X, y = _training_data(X, y, candidates)
     profile = {}
     best_d = None
     best_total = None
     for d in candidates:
-        if not 1 <= d <= p:
-            raise InvalidDimensionError(f"candidate dimension {d} outside [1, {p}]")
         cfg_d = replace(cfg, d=d)
         winner_counts = np.array(
             [_run_block(cfg_d, X, y, b1, key_head=(d,)).error_count for b1 in range(cfg.B1)],

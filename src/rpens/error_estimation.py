@@ -129,16 +129,17 @@ def _estimate_full(Z, y, base, method, point_ids=None):
     if method == "resubstitution":
         labels = model.predict_many(Z)
     else:
-        labels = _loo_labels(Z, y, base, point_ids)
+        labels = _loo_labels(Z, y, base, point_ids, model)
     return ErrorEstimate(int(np.sum(labels != y)), n, method), model, labels
 
 
-def _loo_labels(Z, y, base, point_ids):
+def _loo_labels(Z, y, base, point_ids, model=None):
+    """Leave-one-out labels; ``model`` is the full-data fit, which QDA reuses."""
     n = len(y)
     if base.kind == "knn":
         return bc.knn_loo_labels(Z, y, base.resolve_k(n), base.tie_seed, point_ids)
     if base.kind == "qda":
-        labels, failed = bc.qda_loo_labels(Z, y)
+        labels, failed = bc.qda_loo_labels(Z, y, model)
         if failed.any():
             # Conservative: an unscorable refit counts against the
             # projection rather than aborting the whole estimate.

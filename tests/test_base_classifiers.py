@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from rpens import base_classifiers as bc
+from rpens import error_estimation as ee
 from rpens import errors
 
 from conftest import make_blobs
@@ -37,6 +38,19 @@ def _count_loo_refits(monkeypatch):
 
     monkeypatch.setattr(bc, "_qda_loo_refit_point", counting)
     return calls
+
+
+def _singular_class_instance():
+    """Class 1 lies on the line z2 = 2 z1 with integer moments.
+
+    Its scatter [[4, 8], [8, 16]] has an exactly zero Cholesky pivot, so
+    fit_qda needs its ridge and every leave-one-out point takes the
+    explicit refit.
+    """
+    t = np.array([-1.0, 0.0, 1.0, -1.0, 1.0])
+    Z1 = np.stack([t, 2.0 * t], axis=1)
+    Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
+    return np.vstack([Z1, Z2]), np.array([1] * 5 + [2] * 6)
 
 
 def _assert_equals_explicit_qda_refits(Z, y, labels, failed):
@@ -236,6 +250,9 @@ class TestQda:
             y = np.array([1] * n1 + [2] * n2)
             labels, failed = bc.qda_loo_labels(Z, y)
             assert not failed.any()
+            handed_over = bc.qda_loo_labels(Z, y, bc.fit_qda(Z, y))
+            np.testing.assert_array_equal(handed_over[0], labels)
+            np.testing.assert_array_equal(handed_over[1], failed)
             keep = np.ones(len(y), dtype=bool)
             for i in range(len(y)):
                 keep[i] = False
@@ -244,14 +261,8 @@ class TestQda:
                 keep[i] = True
 
     def test_loo_slow_path_on_singular_class_scatter(self, monkeypatch):
-        # Class 1 lies on the line z2 = 2 z1 with integer moments, so its
-        # scatter [[4, 8], [8, 16]] has an exactly zero Cholesky pivot and
-        # every point takes the explicit refit.
-        t = np.array([-1.0, 0.0, 1.0, -1.0, 1.0])
-        Z1 = np.stack([t, 2.0 * t], axis=1)
-        Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
-        Z = np.vstack([Z1, Z2])
-        y = np.array([1] * 5 + [2] * 6)
+        Z, y = _singular_class_instance()
+        Z1 = Z[y == 1]
         dev = Z1 - Z1.mean(axis=0)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(dev.T @ dev)
@@ -260,6 +271,14 @@ class TestQda:
         assert refits == list(range(len(y)))
         assert not failed.all()
         _assert_equals_explicit_qda_refits(Z, y, labels, failed)
+
+    def test_estimator_refits_every_point_when_the_fit_needed_its_ridge(self, monkeypatch):
+        # Through the estimator, which hands qda_loo_labels its fitted model.
+        Z, y = _singular_class_instance()
+        refits = _count_loo_refits(monkeypatch)
+        _, _, labels = ee._estimate_full(Z, y, bc.BaseSpec("qda"), "leave_one_out")
+        assert refits == list(range(len(y)))
+        _assert_equals_explicit_qda_refits(Z, y, labels, np.zeros(len(y), dtype=bool))
 
     def test_loo_refits_point_whose_deletion_is_degenerate(self, monkeypatch):
         # Without its last point class 1 lies on the line z2 = 2 z1: the
@@ -369,6 +388,27 @@ class TestKnn:
                 )
                 assert labels[i] == bc.predict_knn_many(ref, Z[i][None, :])[0], (trial, i)
                 keep[i] = True
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"k": 0}, errors.InvalidDimensionError),
+        ({"k": -1}, errors.InvalidDimensionError),
+        ({"k": 3, "point_ids": np.arange(3)}, errors.ShapeMismatchError),
+        ({"k": 3, "point_ids": np.full(10, 4)}, errors.ShapeMismatchError),
+    ], ids=["k_zero", "k_negative", "three_ids_for_ten_points", "repeated_ids"])
+    def test_loo_refuses_what_fit_refuses(self, kwargs, error):
+        Z = np.random.default_rng(4).normal(size=(10, 2))
+        y = np.array([1, 2] * 5)
+        with pytest.raises(error):
+            bc.fit_knn(Z, y, **kwargs)
+        with pytest.raises(error):
+            bc.knn_loo_labels(Z, y, **kwargs)
+
+    def test_loo_clamps_k_to_the_points_left(self):
+        Z = np.random.default_rng(5).normal(size=(9, 2))
+        y = np.array([1, 2] * 4 + [1])
+        np.testing.assert_array_equal(
+            bc.knn_loo_labels(Z, y, 50, tie_seed=2), bc.knn_loo_labels(Z, y, 8, tie_seed=2)
+        )
 
     def test_label_swap_flips_predictions_odd_k(self):
         X, y = make_blobs(15, 2, 1.0, seed=31)

@@ -308,6 +308,24 @@ class TestExitCodes:
         assert main(args) == 3
         assert "first header column must be 'label'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["fit_config", "fit_model_out", "select_d_out"])
+    def test_directory_path_is_3(self, tmp_path, synthetic_csv, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        model_out = tmp_path / "m.json"
+        args = {
+            "fit_config": ["fit", "--train", str(synthetic_csv), "--model-out", str(model_out),
+                           "--d", "2", "--config", str(folder)],
+            "fit_model_out": ["fit", "--train", str(synthetic_csv), "--model-out", str(folder),
+                              "--d", "2", "--B1", "3", "--B2", "2"],
+            "select_d_out": ["select-d", "--train", str(synthetic_csv), "--candidates", "1,2",
+                             "--B1", "2", "--B2", "2", "--out", str(folder)],
+        }[case]
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(tmp_path.iterdir()) == [folder]
+        assert list(folder.iterdir()) == []
+
     def test_degenerate_training_data_is_4(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         rows = ["label,x1,x2"]

@@ -639,6 +639,21 @@ class TestSelectD:
         with pytest.raises(errors.InvalidDimensionError):
             en.select_d(X, y, [7], cfg)
 
+    def test_every_candidate_is_checked_before_any_block(self, monkeypatch):
+        X, y = self._data()
+        blocks = []
+        run_block = en._run_block
+
+        def counting(*args, **kwargs):
+            blocks.append(args)
+            return run_block(*args, **kwargs)
+
+        monkeypatch.setattr(en, "_run_block", counting)
+        cfg = en.EnsembleConfig(B1=3, B2=3, d=1, master_seed=0)
+        with pytest.raises(errors.InvalidDimensionError, match="dimension 7 outside"):
+            en.select_d(X, y, [2, 3, 7], cfg)
+        assert blocks == []
+
 
 class TestRotationEquivariance:
     @pytest.mark.parametrize("base", ["lda", "qda", "knn"])
