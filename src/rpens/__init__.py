@@ -26,16 +26,13 @@ from .datagen import LabelledSample, ModelSpec, bayes_risk, eta, load_labelled_c
 from .ensemble import (
     EnsembleConfig,
     EnsembleModel,
-    VoteFraction,
     estimate_alpha,
     fit,
     g_curves,
-    predict,
     predict_many,
     select_block_winner,
     select_d,
     select_d_profile,
-    votes,
     votes_many,
 )
 from .error_estimation import (

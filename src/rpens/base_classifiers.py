@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import (
     InvalidDimensionError,
@@ -186,7 +185,7 @@ def lda_closed_form_test_error(model, pi_1, mu_1, mu_2, sigma) -> float:
         return pi_2 if -log_ratio_21 >= 0.0 else pi_1
     a1 = (log_ratio_21 - w @ (mid - mu_1)) / scale
     a2 = (-log_ratio_21 + w @ (mid - mu_2)) / scale
-    return float(pi_1 * norm.cdf(a1) + pi_2 * norm.cdf(a2))
+    return float(pi_1 * ndtr(a1) + pi_2 * ndtr(a2))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +447,7 @@ def predict_knn_many(model, Z):
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.d:
         raise ShapeMismatchError(f"expected points with {model.d} features")
+    from scipy.spatial.distance import cdist  # imported where kNN runs, not at start-up
     k = min(model.k, len(model.labels))
     D = cdist(Z, model.points, "sqeuclidean")
     counts = _knn_class1_counts(D, model.labels, k, model.tie_seed, model.point_ids, Z)
@@ -467,6 +467,7 @@ def knn_loo_labels(Z, y, k, tie_seed=0, point_ids=None):
     n = len(y)
     if n < 2:
         raise InvalidDimensionError("leave-one-out needs at least two points")
+    from scipy.spatial.distance import cdist
     k_eff = min(k, n - 1)
     D = cdist(Z, Z, "sqeuclidean")
     np.fill_diagonal(D, np.inf)

@@ -103,25 +103,6 @@ class EnsembleConfig:
         return self.estimator or ee.default_estimator(self.base)
 
 
-@dataclass(frozen=True)
-class VoteFraction:
-    """Ensemble vote as an exact rational count / B1."""
-
-    count: int
-    b1: int
-
-    def __post_init__(self):
-        if not 0 <= self.count <= self.b1:
-            raise ValueError(f"vote count {self.count} outside [0, {self.b1}]")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.count, self.b1)
-
-    def __float__(self) -> float:
-        return self.count / self.b1
-
-
 @dataclass(eq=False)
 class EnsembleModel:
     """Fitted ensemble: the B1 block winners plus the voting threshold.
@@ -150,10 +131,6 @@ class EnsembleModel:
     @property
     def p(self) -> int:
         return self.projections[0].p
-
-    @property
-    def n_train(self) -> int:
-        return int(self.train_labels.shape[0])
 
 
 @dataclass(frozen=True)
@@ -324,22 +301,14 @@ def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
 
 @_blas.single_thread
 def votes_many(model: EnsembleModel, X) -> np.ndarray:
-    """Class-1 vote counts (integers out of B1) for each row of X."""
+    """Class-1 vote counts (integers out of B1) for each row of an (n, p) array X."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != model.p:
         raise ShapeMismatchError(
             f"expected points in {model.p} dimensions, got array of shape {X.shape}"
         )
     _check_finite(X)
     return _class1_votes(model.projections, model.base_models, X).sum(axis=0, dtype=np.int64)
-
-
-def votes(model: EnsembleModel, x) -> VoteFraction:
-    """Fraction of block winners voting class 1 at a single point."""
-    count = int(votes_many(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-    return VoteFraction(count, model.B1)
 
 
 def _counts_to_labels(counts: np.ndarray, alpha: Fraction, b1: int) -> np.ndarray:
@@ -349,11 +318,8 @@ def _counts_to_labels(counts: np.ndarray, alpha: Fraction, b1: int) -> np.ndarra
 
 
 def predict_many(model: EnsembleModel, X) -> np.ndarray:
+    """Labels for each row of X: class 1 iff its vote fraction reaches alpha_hat."""
     return _counts_to_labels(votes_many(model, X), model.alpha_hat, model.B1)
-
-
-def predict(model: EnsembleModel, x) -> int:
-    return int(predict_many(model, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def _vote_table(counts, labels, b1):
@@ -390,6 +356,8 @@ def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
     labels = np.asarray(labels, dtype=np.int64)
     if counts.shape != labels.shape or counts.ndim != 1:
         raise ShapeMismatchError("vote counts and labels must be matching 1-d arrays")
+    if counts.size and not (0 <= counts.min() and counts.max() <= b1):
+        raise ValueError(f"vote counts must lie in [0, {b1}]")
     distinct, below1, below2, n1, n2 = _vote_table(counts, labels, b1)
     if n1 == 0 or n2 == 0:
         raise DegenerateVotesError(

@@ -48,7 +48,8 @@ class Projection:
         if self.kind not in KINDS:
             raise ValueError(f"unknown projection kind: {self.kind!r}")
         gram = entries @ entries.T
-        if np.max(np.abs(gram - np.eye(d))) > ORTHONORMALITY_TOL:
+        # Written as "not <=" so that a NaN entry fails too.
+        if not np.max(np.abs(gram - np.eye(d))) <= ORTHONORMALITY_TOL:
             raise ValueError("projection rows are not orthonormal")
         if self.kind == "axis_aligned":
             _check_axis_aligned(entries)
@@ -116,15 +117,9 @@ def apply(projection: Projection, X: np.ndarray) -> np.ndarray:
     an (n, d) array whose row i is A x_i.
     """
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != projection.p:
-        raise ShapeMismatchError(
-            f"expected points with {projection.p} features, got shape {X.shape}"
-        )
-    Z = X @ projection.entries.T
-    return Z[0] if single else Z
+    if X.ndim == 1:
+        return _apply_stack([projection], X[None, :])[0][0]
+    return _apply_stack([projection], X)[0]
 
 
 def _apply_stack(projections, X: np.ndarray) -> list:
@@ -132,7 +127,7 @@ def _apply_stack(projections, X: np.ndarray) -> list:
 
     Stacks the projections' entries into one matrix S and computes
     X @ S.T once.  Returns one C-contiguous (n, d) array per projection,
-    equal to ``apply(projection, X)`` except that BLAS may move the last
+    equal to its own product X @ A.T except that BLAS may move the last
     bits with the shape of the product.
     """
     X = np.asarray(X, dtype=np.float64)

@@ -12,13 +12,15 @@ the fields of its dataclass, so the dataclass alone defines its layout:
 a field annotated ``np.ndarray`` is an array record, any other field a
 JSON value of its annotated type.  Base-model records add a ``kind``.
 Loading is a data boundary: a container whose records, types, counts or
-shapes do not fit together raises DataFormatError.
+shapes do not fit together, or that holds a NaN or an infinity, raises
+DataFormatError.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import fields
 from fractions import Fraction
 from typing import get_type_hints
@@ -109,7 +111,8 @@ def _decode_record(cls, obj: dict):
         value = obj[name]
         if typ is np.ndarray:
             value = _decode_array(value)
-        elif isinstance(value, bool) or not isinstance(value, typ):
+        elif (isinstance(value, bool) or not isinstance(value, typ)
+              or (isinstance(value, float) and not math.isfinite(value))):
             raise DataFormatError(f"{cls.__name__}.{name} has JSON value {value!r}")
         values[name] = value
     try:
@@ -130,9 +133,11 @@ def _decode_base_model(obj: dict, kind: str):
 
 
 def _check_array(a, dtype, shape, name, low=None, high=None) -> None:
-    """Refuse an array of another dtype or shape, or with values outside [low, high]."""
+    """Refuse an array of another dtype or shape, non-finite, or with values outside [low, high]."""
     if a.dtype != dtype or a.shape != shape:
         raise DataFormatError(f"{name} must be {np.dtype(dtype).name} of shape {shape}")
+    if a.dtype == _F and not np.isfinite(a).all():
+        raise DataFormatError(f"{name} must hold finite values")
     if a.size and low is not None and not (low <= a.min() and a.max() <= high):
         raise DataFormatError(f"{name} must hold values in [{low}, {high}]")
 
@@ -145,6 +150,8 @@ def _check_base_model(bm, d: int) -> None:
     for field, (dtype, axes, *bounds) in _BASE_ARRAYS[type(bm)].items():
         shape = tuple(dims[axis] for axis in axes)
         _check_array(getattr(bm, field), dtype, shape, f"{name}.{field}", *bounds)
+    if not knn and not (0 < bm.pi_hat_1 < 1 and 0 < bm.pi_hat_2 < 1):
+        raise DataFormatError(f"{name} priors must lie in (0, 1)")
     m = dims["m"]
     if knn and (len(np.unique(bm.point_ids)) != m or not 1 <= bm.k <= m):
         raise DataFormatError(f"{name} needs distinct point_ids and 1 <= k <= {m}")

@@ -156,4 +156,14 @@ DAMAGED_MODELS = {
     "winner_index_of_B2": _edit(lambda o: o["winner_indices"].__setitem__(0, o["config"]["B2"])),
     "negative_winner_index": _edit(lambda o: o["winner_indices"].__setitem__(0, -1)),
     "block_m_of_zero": _edit(lambda o: o.update(block_m=0)),
+    # json.loads accepts the NaN and Infinity literals that json.dumps writes.
+    "nan_prior": _edit(lambda o: o["base_models"][0].update(pi_hat_1=float("nan"))),
+    "infinite_prior": _edit(lambda o: o["base_models"][1].update(pi_hat_2=float("inf"))),
+    "negative_prior": _edit(lambda o: o["base_models"][0].update(pi_hat_1=-3.0)),
+    "prior_of_one": _edit(lambda o: o["base_models"][0].update(pi_hat_2=1.0)),
+    "nan_in_mu_hat_1": _set_base_array("mu_hat_1", np.array([0.5, np.nan])),
+    "infinite_sigma_hat": _set_base_array("sigma_hat", np.array([[np.inf, 0.0], [0.0, 1.0]])),
+    "nan_in_projection": _edit(
+        lambda o: o["projections"][0].update(entries=_array_record(np.full((2, 5), np.nan)))
+    ),
 }

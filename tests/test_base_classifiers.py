@@ -389,6 +389,59 @@ class TestKnn:
                 assert labels[i] == bc.predict_knn_many(ref, Z[i][None, :])[0], (trial, i)
                 keep[i] = True
 
+    def test_tie_hash_picks_match_an_independent_ranking(self):
+        # Integer grid data make exact distance ties common.  The reference
+        # ranks every candidate by (squared distance, tie key) and takes the
+        # first k; the library takes every point inside the k-th distance and
+        # breaks only the ties at it by the key.
+        gen = np.random.default_rng(2024)
+
+        def reference(Z, y, k, tie_seed, ids, queries, loo, order_key):
+            labels, kinds = [], set()
+            for i, q in enumerate(queries):
+                qb = np.ascontiguousarray(q, dtype=np.float64).tobytes()
+                dist = np.sum((Z - q) ** 2, axis=1)  # exact on the grid
+                pool = [j for j in range(len(Z)) if not (loo and j == i)]
+                order = sorted(pool, key=lambda j: (dist[j], order_key(tie_seed, ids[j], qb)))
+                labels.append(1 if 2 * np.sum(y[order[:k]] == 1) >= k else 2)
+                kth = dist[order[k - 1]]
+                tied = sum(dist[j] == kth for j in pool)
+                need = k - sum(dist[j] < kth for j in pool)
+                kinds.add("exact" if tied == need > 1 else "over" if tied > need else "plain")
+            return np.array(labels), kinds
+
+        def tie_key(tie_seed, pid, qb):
+            return bc._tie_key(tie_seed, int(pid), qb)
+
+        def by_id(tie_seed, pid, qb):
+            return int(pid)
+
+        kinds, sensitive = set(), False
+        for trial in range(30):
+            n = int(gen.integers(8, 30))
+            d = int(gen.integers(1, 3))
+            k = int(gen.integers(1, n))
+            Z = gen.integers(-2, 3, size=(n, d)).astype(np.float64)
+            y = gen.integers(1, 3, size=n)
+            y[:2] = [1, 2]
+            ids = gen.permutation(1000)[:n]
+            tie_seed = int(gen.integers(0, 2**31))
+            queries = gen.integers(-2, 3, size=(10, d)).astype(np.float64)
+            for loo, Q, k_eff, got in (
+                (False, queries, k,
+                 bc.predict_knn_many(bc.fit_knn(Z, y, k, tie_seed, ids), queries)),
+                (True, Z, min(k, n - 1), bc.knn_loo_labels(Z, y, k, tie_seed, ids)),
+            ):
+                want, seen = reference(Z, y, k_eff, tie_seed, ids, Q, loo, tie_key)
+                np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}, loo={loo}")
+                kinds |= seen
+                wrong, _ = reference(Z, y, k_eff, tie_seed, ids, Q, loo, by_id)
+                sensitive |= not np.array_equal(wrong, want)
+        assert {"exact", "over"} <= kinds
+        # Ranking ties by point id instead changes some label, so the
+        # comparison above can see a wrong tie order.
+        assert sensitive
+
     @pytest.mark.parametrize("kwargs, error", [
         ({"k": 0}, errors.InvalidDimensionError),
         ({"k": -1}, errors.InvalidDimensionError),

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rpens
 from rpens import datagen as dg
 from rpens.cli import main
 
@@ -26,6 +31,22 @@ def _without_labels(labelled, path):
         encoding="utf-8",
     )
     return path
+
+
+def test_start_up_imports_neither_scipy_stats_nor_spatial():
+    # The library never needs scipy.stats, and needs scipy.spatial only once kNN runs.
+    env = dict(os.environ)
+    src = str(Path(rpens.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, rpens.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.spatial'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 SIM_ARGS = [

@@ -45,19 +45,6 @@ class TestConfig:
         assert cfg.estimator_name == "sample_split"
 
 
-class TestVoteFraction:
-    def test_exact_value(self):
-        v = en.VoteFraction(3, 4)
-        assert v.value == Fraction(3, 4)
-        assert float(v) == 0.75
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            en.VoteFraction(5, 4)
-        with pytest.raises(ValueError):
-            en.VoteFraction(-1, 4)
-
-
 class TestSelectBlockWinner:
     def _block_data(self):
         gen = np.random.default_rng(37)
@@ -287,8 +274,6 @@ class TestFit:
             en.select_block_winner(X_bad, y, m.projections, bc.BaseSpec("knn"), "leave_one_out")
         with pytest.raises(errors.DataFormatError):
             en.votes_many(m, X_bad)
-        with pytest.raises(errors.DataFormatError):
-            en.predict(m, X_bad[4])
 
     def test_rejects_bad_inputs(self):
         X, y = make_blobs(10, 3, 1.0, seed=58)
@@ -323,9 +308,6 @@ class TestVotesAndPredict:
                 for proj, model in zip(m.projections, m.base_models)
             )
             assert counts[j] == manual
-        v = en.votes(m, probes[0])
-        assert isinstance(v, en.VoteFraction)
-        assert v.count == counts[0] and v.b1 == 9
 
     def test_predict_consistent_with_threshold(self, fitted):
         m, _, _ = fitted
@@ -335,7 +317,6 @@ class TestVotesAndPredict:
             counts * m.alpha_hat.denominator >= m.alpha_hat.numerator * m.B1, 1, 2
         )
         np.testing.assert_array_equal(en.predict_many(m, probes), want)
-        assert en.predict(m, probes[0]) == want[0]
 
     def test_threshold_tie_goes_to_class_1(self):
         assert en._counts_to_labels(np.array([2]), Fraction(1, 2), 4)[0] == 1
@@ -357,6 +338,10 @@ class TestVotesAndPredict:
         m, _, _ = fitted
         with pytest.raises(errors.ShapeMismatchError):
             en.predict_many(m, np.zeros((3, 7)))
+        # One point is a (1, p) array; a bare p-vector is refused.
+        with pytest.raises(errors.ShapeMismatchError):
+            en.votes_many(m, np.zeros(5))
+        assert en.votes_many(m, np.zeros((1, 5))).shape == (1,)
 
 
 class TestEstimateAlpha:
@@ -476,6 +461,15 @@ class TestEstimateAlpha:
     def test_single_class_rejected(self):
         with pytest.raises(errors.DegenerateVotesError):
             en.estimate_alpha(np.array([1, 2]), np.array([1, 1]), 4)
+
+    @pytest.mark.parametrize("counts", [
+        [5, 5, 0, 0, 4, 1],  # above b1 in both classes
+        [4, 1, 0, 0, 2, 1],  # above b1 in class 1 only
+        [-1, 1, 0, 2, 2, 1],
+    ])
+    def test_counts_outside_zero_to_b1_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"vote counts must lie in \[0, 3\]"):
+            en.estimate_alpha(counts, [1, 2, 1, 2, 1, 2], 3)
 
     def test_explicit_priors_shift_the_threshold(self):
         # one noisy class-2 point at vote 3/4: with a heavy class-2 prior

@@ -78,6 +78,9 @@ def test_validation_rejects_bad_matrices():
     scaled[0, 0] = 0.5
     with pytest.raises(ValueError):
         projections.Projection(entries=scaled, kind="axis_aligned")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            projections.Projection(entries=np.array([[0.0, 1.0, 0.0, bad]]))
 
 
 def test_entries_are_read_only():

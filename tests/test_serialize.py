@@ -150,3 +150,20 @@ class TestLoadBoundary:
         record[field] = value if isinstance(value, int) else _array_record(value)
         with pytest.raises(errors.DataFormatError):
             serialize.model_from_dict(obj)
+
+    @pytest.mark.parametrize("base, field, value", [
+        ("qda", "pi_hat_1", np.nan),
+        ("qda", "log_det_2", np.inf),
+        ("qda", "log_det_1", -np.inf),
+        ("qda", "omega_hat_1", np.array([[1.0, 0.0], [0.0, np.inf]])),
+        ("knn", "points", np.full((32, 2), np.nan)),
+    ], ids=["qda_nan_prior", "qda_infinite_log_det", "qda_minus_infinite_log_det",
+            "qda_infinite_omega", "knn_nan_points"])
+    def test_non_finite_numbers_are_data_errors(self, base, field, value):
+        # json.loads accepts the NaN, Infinity and -Infinity literals.
+        m, _ = _fit(base)
+        obj = json.loads(serialize.dumps(m))
+        record = obj["base_models"][0]
+        record[field] = _array_record(value) if isinstance(value, np.ndarray) else value
+        with pytest.raises(errors.DataFormatError, match=f"{field} (must hold finite|has JSON)"):
+            serialize.loads(json.dumps(obj))
