@@ -64,17 +64,20 @@ def _check_labelled(Z, y):
 def _class_moments(Z, y):
     """Size, mean and scatter (sum of squared deviations) of each class.
 
-    Returns ((n_1, mu_1, S_1), (n_2, mu_2, S_2)).
+    Returns ((n_1, mu_1, S_1), (n_2, mu_2, S_2)).  Z is (n, d) or a stack
+    (B, n, d) of images of the same points; the means and scatters then
+    carry the leading stack axis.
     """
     m1 = y == 1
     m2 = y == 2
     if not m1.any() or not m2.any():
         raise MissingClassError("both classes must be present in the training set")
     moments = []
-    for Zr in (Z[m1], Z[m2]):
-        mu = Zr.mean(axis=0)
-        dev = Zr - mu
-        moments.append((len(Zr), mu, dev.T @ dev))
+    for mask in (m1, m2):
+        Zr = Z[..., mask, :]
+        mu = Zr.mean(axis=-2)
+        dev = Zr - mu[..., None, :]
+        moments.append((int(mask.sum()), mu, np.swapaxes(dev, -1, -2) @ dev))
     return tuple(moments)
 
 
@@ -312,34 +315,41 @@ def qda_loo_labels(Z, y, model=None):
 
     for r, s in ((1, 2), (2, 1)):
         idx = np.flatnonzero(y == r)
-        nr, ns = counts[r], counts[s]
-        if nr - 1 < d + 1:
+        if counts[r] - 1 < d + 1:
             failed[idx] = True
             continue
-        c = nr / (nr - 1.0)
-        h_r = h[r][idx]
-        h_s = h[s][idx]
-        pivot = 1.0 - c * h_r
-
-        # Deleted-class pieces after the rank-one downdate.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_r = c * c * (nr - 2.0) * h_r / pivot
-            log_det_r = log_det_scatter[r] + np.log(pivot) - d * np.log(nr - 2.0)
-        q_s = (ns - 1.0) * h_s
-        log_det_s = log_det_scatter[s] - d * np.log(ns - 1.0)
-
-        # Discriminant oriented as log(pi_1/pi_2) + ...; r plays class r.
-        log_prior = np.log((nr - 1.0) / ns)
-        if r == 1:
-            delta = log_prior + 0.5 * (log_det_s - log_det_r) + 0.5 * (q_s - q_r)
-        else:
-            delta = -log_prior - 0.5 * (log_det_s - log_det_r) - 0.5 * (q_s - q_r)
+        pivot, delta = _qda_loo_downdate(
+            h[r][idx], h[s][idx], counts[r], counts[s], d,
+            log_det_scatter[r], log_det_scatter[s], r,
+        )
         labels[idx] = np.where(delta >= 0.0, 1, 2)
-
-        bad = pivot <= _LOO_PIVOT_TOL
-        for j in np.flatnonzero(bad):
+        for j in np.flatnonzero(pivot <= _LOO_PIVOT_TOL):
             labels[idx[j]], failed[idx[j]] = _qda_loo_refit_point(Z, y, idx[j], d, counts)
     return labels, failed
+
+
+def _qda_loo_downdate(h_r, h_s, nr, ns, d, log_det_scatter_r, log_det_scatter_s, r):
+    """Pivot and leave-one-out discriminant of points of class r.
+
+    ``h_r`` and ``h_s`` are each point's quadratic form around the class-r
+    and class-s means under the inverse scatter matrices, and
+    ``log_det_scatter_*`` the log-determinants of those scatters; arrays
+    broadcast.  Deleting a point from class r downdates its scatter by a
+    rank-one term with this pivot.  The discriminant is oriented as
+    log(pi_1/pi_2) + ..., so it is >= 0 where the refitted rule says class 1.
+    """
+    c = nr / (nr - 1.0)
+    pivot = 1.0 - c * h_r
+
+    # Deleted-class pieces after the rank-one downdate.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_r = c * c * (nr - 2.0) * h_r / pivot
+        log_det_r = log_det_scatter_r + np.log(pivot) - d * np.log(nr - 2.0)
+    q_s = (ns - 1.0) * h_s
+    log_det_s = log_det_scatter_s - d * np.log(ns - 1.0)
+
+    delta = np.log((nr - 1.0) / ns) + 0.5 * (log_det_s - log_det_r) + 0.5 * (q_s - q_r)
+    return pivot, delta if r == 1 else -delta
 
 
 def _qda_loo_refit_point(Z, y, i, d, counts):
@@ -353,6 +363,72 @@ def _qda_loo_refit_point(Z, y, i, d, counts):
     except (SingularCovarianceError, InvalidDimensionError, MissingClassError):
         return 0, True
     return int(predict_qda_many(model, Z[i][None, :])[0]), False
+
+
+# ---------------------------------------------------------------------------
+# Stacked scoring: one candidate per leading index of a (B, n, d) stack of
+# images of the same n training points.
+
+# A stacked covariance whose Cholesky pivot keeps at most this fraction of
+# its diagonal entry is too close to collinear to score in the stack.
+_STACK_COLLINEAR_TOL = 1e-6
+
+
+def _stack_inverse_cholesky(cov):
+    """Inverse Cholesky factors and log-determinants of a (B, d, d) stack.
+
+    Symmetrizes each matrix first, as _invert_spd does.  Raises LinAlgError
+    when a factorisation fails or is within _STACK_COLLINEAR_TOL of it, the
+    cases where _invert_spd may need its ridge.
+    """
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    chol = np.linalg.cholesky(cov)
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1)
+    if (pivots * pivots <= _STACK_COLLINEAR_TOL * np.diagonal(cov, axis1=-2, axis2=-1)).any():
+        raise np.linalg.LinAlgError("covariance too close to singular")
+    return np.linalg.inv(chol), 2.0 * np.log(pivots).sum(axis=-1)
+
+
+def _lda_stack_discriminants(Zs, y):
+    """(B, n) discriminants of each image's own fit_lda at its training points.
+
+    Needs n >= d + 2 and both classes; raises LinAlgError as
+    _stack_inverse_cholesky does.
+    """
+    n = Zs.shape[-2]
+    (n1, mu1, S1), (n2, mu2, S2) = _class_moments(Zs, y)
+    inv, _ = _stack_inverse_cholesky((S1 + S2) / (n - 2))
+    direction = np.swapaxes(inv, -1, -2) @ (inv @ (mu1 - mu2)[..., None])
+    mid = (mu1 + mu2) / 2.0
+    return np.log(n1 / n2) + ((Zs - mid[..., None, :]) @ direction)[..., 0]
+
+
+def _qda_loo_stack_discriminants(Zs, y):
+    """(B, n) leave-one-out QDA discriminants, as qda_loo_labels derives them.
+
+    Needs at least d + 2 points in each class.  Raises LinAlgError as
+    _stack_inverse_cholesky does, and when a downdate pivot is at or below
+    _LOO_PIVOT_TOL, where qda_loo_labels would refit the point.
+    """
+    d = Zs.shape[-1]
+    sizes, h, log_det_scatter = [], [], []
+    for nr, mu, scatter in _class_moments(Zs, y):
+        inv, log_det = _stack_inverse_cholesky(scatter / (nr - 1))
+        # Quadratic form of every point under the inverse scatter matrix.
+        v = (Zs - mu[..., None, :]) @ np.swapaxes(inv, -1, -2)
+        sizes.append(nr)
+        h.append(np.einsum("...i,...i->...", v, v) / (nr - 1))
+        log_det_scatter.append((log_det + d * np.log(nr - 1.0))[..., None])
+    delta = np.empty(Zs.shape[:-1])
+    for r, s in ((0, 1), (1, 0)):
+        idx = y == r + 1
+        pivot, delta[..., idx] = _qda_loo_downdate(
+            h[r][..., idx], h[s][..., idx], sizes[r], sizes[s], d,
+            log_det_scatter[r], log_det_scatter[s], r + 1,
+        )
+        if (pivot <= _LOO_PIVOT_TOL).any():
+            raise np.linalg.LinAlgError("leave-one-out downdate pivot at tolerance")
+    return delta
 
 
 # ---------------------------------------------------------------------------

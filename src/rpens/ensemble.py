@@ -11,8 +11,22 @@ Fits run serially.  Everything downstream of the master seed is
 deterministic: every projection and every tie-break stream is derived from
 a keyed seed, never from call order.  The candidates of a block, and the
 winners at prediction time, are projected together: one product of X with
-their stacked matrices for each group of at most p // d of them.  The
-public entries that run BLAS (``fit``, ``votes_many``, ``select_d_profile``,
+their stacked matrices for each group of at most p // d of them.  A block's
+Haar candidates each draw their own Gaussian and share one stacked QR call.
+
+Blocks of lda candidates under resubstitution and qda candidates under
+leave-one-out are scored as a stack: batched class moments, one batched
+Cholesky factorisation and the discriminants (for qda, the rank-one
+leave-one-out downdate) give only integer error counts.  The first minimum
+is then re-scored alone on the scalar path, so the winner's model, votes
+and saved bytes are what one fit per candidate gives.  A block takes the
+scalar loop, one fit per candidate, for every other pairing, when the
+base fit would refuse the data or a qda class has fewer than d + 2 points,
+when a stacked Cholesky factor fails or is nearly collinear, when a qda
+downdate pivot is at or below its tolerance, when a discriminant lies
+within rounding of 0, and when the winner re-scores to another count.
+
+The public entries that run BLAS (``fit``, ``votes_many``, ``select_d_profile``,
 ``select_block_winner``) run the bundled OpenBLAS on one thread and restore
 the caller's thread count on return, so their results do not depend on it.
 Bit-identical outputs hold for one numpy/BLAS build: BLAS does not promise
@@ -58,6 +72,10 @@ _CANDIDATE_ERRORS = (SingularCovarianceError, EstimationFailureError)
 # 2,000-row CLI predict by 1.7 MB; 512-row products kept it, at about the
 # same speed.
 _ROW_CHUNK = 512
+
+# A stacked discriminant within this fraction of its row's largest one
+# (plus one) is too close to 0 for the stack to vouch for its label.
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,11 +169,12 @@ def _base_spec(cfg: EnsembleConfig, tie_seed: int) -> bc.BaseSpec:
     return bc.BaseSpec(kind=cfg.base, k=cfg.knn_k, tie_seed=tie_seed)
 
 
-def _sample_projection(cfg: EnsembleConfig, p: int, *key) -> pj.Projection:
-    rng = make_rng(cfg.master_seed, *key)
+def _sample_projections(cfg: EnsembleConfig, p: int, keys) -> list:
+    """One projection per stream key; Haar draws share one stacked QR call."""
+    rngs = [make_rng(cfg.master_seed, *key) for key in keys]
     if cfg.projection_kind == "haar":
-        return pj.sample_haar(p, cfg.d, rng)
-    return pj.sample_axis_aligned(p, cfg.d, rng)
+        return pj._sample_haar_stack(p, cfg.d, rngs)
+    return [pj.sample_axis_aligned(p, cfg.d, rng) for rng in rngs]
 
 
 def _projected(X, projections):
@@ -183,18 +202,56 @@ def _class1_votes(projections, base_models, X) -> np.ndarray:
     return votes
 
 
+def _stacked_counts(images, y, kind, estimator):
+    """Every candidate's error count from one pass over the stacked images.
+
+    Returns None, to send the block down the scalar loop, in the cases the
+    module docstring lists except the winner's re-score, which _select
+    checks.
+    """
+    n, d = images[0].shape
+    y = np.asarray(y, dtype=np.int64)  # as _estimate_full reads it
+    n1, n2 = int(np.sum(y == 1)), int(np.sum(y == 2))
+    if y.shape != (n,) or n1 + n2 != n:
+        return None
+    if (kind, estimator) == ("lda", "resubstitution") and n >= d + 2 and min(n1, n2) >= 1:
+        score = bc._lda_stack_discriminants
+    elif (kind, estimator) == ("qda", "leave_one_out") and min(n1, n2) >= d + 2:
+        score = bc._qda_loo_stack_discriminants
+    else:
+        return None
+    try:
+        delta = score(np.stack(images), y)
+    except np.linalg.LinAlgError:
+        return None
+    size = np.abs(delta)
+    # Written as "not >" so that a NaN discriminant sends the block back too.
+    if not (size > _MARGIN * (1.0 + size.max(axis=-1, keepdims=True))).all():
+        return None
+    return np.sum((delta >= 0.0) != (y == 1), axis=-1)
+
+
 def _select(X, y, candidates, estimator, point_ids=None) -> _BlockResult:
     """Fit the (projection, BaseSpec) candidates and keep the first strict minimum.
 
     Every candidate's error count is recorded, -1 where it failed to fit.
     The winner's per-point labels are its leave-one-out or in-sample
     predictions, the votes it casts on the training data.
+
+    The block is first scored as a stack of counts, and only its first
+    minimum is re-scored through _estimate_full (see the module docstring).
     """
     candidates = list(candidates)
-    n = len(candidates)
-    counts = np.full(n, -1, dtype=np.int64)
+    images = list(_projected(X, [proj for proj, _ in candidates]))
+    counts = _stacked_counts(images, y, candidates[0][1].kind, estimator)
+    if counts is not None:
+        idx = int(np.argmin(counts))
+        est, model, labels = ee._estimate_full(images[idx], y, candidates[idx][1], estimator)
+        if est.errors == counts[idx]:
+            return _BlockResult(idx, candidates[idx][0], model, est, labels, counts)
+    # Every fallback from the stack arrives here.
+    counts = np.full(len(candidates), -1, dtype=np.int64)
     best = None
-    images = _projected(X, [proj for proj, _ in candidates])
     for idx, ((proj, spec), Z) in enumerate(zip(candidates, images)):
         try:
             est, model, labels = ee._estimate_full(Z, y, spec, estimator, point_ids=point_ids)
@@ -205,7 +262,7 @@ def _select(X, y, candidates, estimator, point_ids=None) -> _BlockResult:
         if best is None or est.errors < best[3].errors:
             best = (idx, proj, model, est, labels, Z)
     if best is None:
-        raise BlockFailureError(f"all {n} candidate projections failed")
+        raise BlockFailureError(f"all {len(candidates)} candidate projections failed")
     idx, proj, model, est, labels, Z = best
     if labels is None:
         # sample_split trains on the first half only; in-sample votes still
@@ -217,15 +274,15 @@ def _select(X, y, candidates, estimator, point_ids=None) -> _BlockResult:
 def _run_block(cfg, X, y, b1, *, key_head=()) -> _BlockResult:
     """Evaluate block ``b1`` of B2 keyed candidates."""
     key = (*key_head, b1)
-    candidates = (
-        (
-            _sample_projection(cfg, X.shape[1], *key, b2, _TAG_PROJECTION),
-            _base_spec(cfg, derive_int(cfg.master_seed, *key, b2, _TAG_TIEBREAK)),
-        )
-        for b2 in range(cfg.B2)
+    projections = _sample_projections(
+        cfg, X.shape[1], [(*key, b2, _TAG_PROJECTION) for b2 in range(cfg.B2)]
     )
+    specs = [
+        _base_spec(cfg, derive_int(cfg.master_seed, *key, b2, _TAG_TIEBREAK))
+        for b2 in range(cfg.B2)
+    ]
     try:
-        return _select(X, y, candidates, cfg.estimator_name)
+        return _select(X, y, zip(projections, specs), cfg.estimator_name)
     except BlockFailureError as exc:
         raise BlockFailureError(f"{exc} in block {b1}") from None
 
@@ -350,7 +407,8 @@ def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
     attains the minimum.  Exact 0 or 1 is nudged inward to 1/(2*B1) and
     1 - 1/(2*B1).
 
-    ``priors`` defaults to the empirical class proportions of ``labels``.
+    ``priors`` defaults to the empirical class proportions of ``labels``;
+    an explicit class-1 prior must lie in (0, 1).
     """
     counts = np.asarray(vote_counts, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -358,6 +416,8 @@ def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
         raise ShapeMismatchError("vote counts and labels must be matching 1-d arrays")
     if counts.size and not (0 <= counts.min() and counts.max() <= b1):
         raise ValueError(f"vote counts must lie in [0, {b1}]")
+    if priors is not None and not 0 < priors[0] < 1:
+        raise ValueError(f"class-1 prior must lie in (0, 1), got {priors[0]}")
     distinct, below1, below2, n1, n2 = _vote_table(counts, labels, b1)
     if n1 == 0 or n2 == 0:
         raise DegenerateVotesError(

@@ -91,13 +91,25 @@ def sample_haar(p: int, d: int, rng: np.random.Generator) -> Projection:
     the map equivariant under right rotation of the Gaussian draw, which
     pins the output distribution to the rotation-invariant one.
     """
+    return _sample_haar_stack(p, d, [rng])[0]
+
+
+def _sample_haar_stack(p: int, d: int, rngs) -> list:
+    """One Haar projection per generator, as sample_haar draws it from each.
+
+    Every generator draws its own Gaussian, and one stacked QR call
+    orthonormalises them all.  numpy factors each matrix of a stack on its
+    own, so each projection equals sample_haar's from the same generator
+    bit for bit.
+    """
     if not 1 <= d <= p:
         raise InvalidDimensionError(f"need 1 <= d <= p, got d={d}, p={p}")
-    gauss = rng.standard_normal((d, p))
-    q, r = np.linalg.qr(gauss.T, mode="reduced")
-    signs = np.sign(np.diag(r))
+    gauss = np.stack([rng.standard_normal((d, p)) for rng in rngs])
+    q, r = np.linalg.qr(np.swapaxes(gauss, -1, -2), mode="reduced")
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return Projection(entries=(q * signs).T, kind="haar")
+    entries = np.swapaxes(q * signs[:, None, :], -1, -2)
+    return [Projection(entries=a, kind="haar") for a in entries]
 
 
 def sample_axis_aligned(p: int, d: int, rng: np.random.Generator) -> Projection:

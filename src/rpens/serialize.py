@@ -71,6 +71,16 @@ _BASE_ARRAYS = {
     KnnModel: {"points": (_F, "md"), "labels": (_I, "m", 1, 2), "point_ids": (_I, "m")},
 }
 
+# Covariances and precisions, each with the log-determinant field its
+# covariance must match (None where the model stores none).
+_SPD_ARRAYS = {
+    LdaModel: {"sigma_hat": None, "omega_hat": None},
+    QdaModel: {
+        "sigma_hat_1": "log_det_1", "sigma_hat_2": "log_det_2",
+        "omega_hat_1": None, "omega_hat_2": None,
+    },
+}
+
 
 def _encode_array(a: np.ndarray) -> dict:
     dtype = a.dtype.newbyteorder("<").str
@@ -143,7 +153,11 @@ def _check_array(a, dtype, shape, name, low=None, high=None) -> None:
 
 
 def _check_base_model(bm, d: int) -> None:
-    """Refuse a base model whose arrays do not fit d and each other."""
+    """Refuse a base model whose arrays do not fit d and each other.
+
+    Covariances and precisions must be symmetric and pass a Cholesky
+    factorisation, and a qda log-determinant must match its covariance.
+    """
     name = type(bm).__name__
     knn = isinstance(bm, KnnModel)
     dims = {"d": d, "m": bm.labels.size if knn else 0}
@@ -155,6 +169,18 @@ def _check_base_model(bm, d: int) -> None:
     m = dims["m"]
     if knn and (len(np.unique(bm.point_ids)) != m or not 1 <= bm.k <= m):
         raise DataFormatError(f"{name} needs distinct point_ids and 1 <= k <= {m}")
+    for field, log_det_field in _SPD_ARRAYS.get(type(bm), {}).items():
+        a = getattr(bm, field)
+        if not np.array_equal(a, a.T):
+            raise DataFormatError(f"{name}.{field} must be symmetric")
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise DataFormatError(f"{name}.{field} must be positive definite") from None
+        if log_det_field is not None:
+            log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            if not math.isclose(getattr(bm, log_det_field), log_det, rel_tol=1e-9, abs_tol=1e-9):
+                raise DataFormatError(f"{name}.{log_det_field} does not match {field}")
 
 
 def model_to_dict(model: EnsembleModel) -> dict:

@@ -34,6 +34,28 @@ def make_blobs(n_per: int, p: int, gap: float, seed: int):
     return X[order], y[order]
 
 
+def rank_deficient_sample():
+    """12 labelled points in 5 dimensions on which most lda fits are singular.
+
+    Columns 0 and 1 are constant within each class, columns 2 and 3 are
+    equal with integer moments, and column 4 is noise.  On a pair of
+    coordinates the pooled covariance has an exactly zero Cholesky pivot
+    unless the pair is {2, 4} or {3, 4}; on {0, 1} it is zero, beyond the
+    ridge fallback.
+    """
+    c = np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0, 4.0, 5.0, 6.0, 4.0, 5.0, 6.0])
+    y = np.array([1] * 6 + [2] * 6, dtype=np.int64)
+    noise = np.random.default_rng(90).normal(size=12)
+    X = np.stack([np.where(y == 1, 0.0, 1.0), np.where(y == 1, 2.0, -1.0), c, c, noise], axis=1)
+    return X, y
+
+
+def pooled_covariance(Z, y):
+    """Pooled within-class covariance of (Z, y), divisor n - 2."""
+    dev = np.concatenate([Z[y == r] - Z[y == r].mean(axis=0) for r in (1, 2)])
+    return dev.T @ dev / (len(y) - 2)
+
+
 # Brute-force oracles for ensemble.estimate_alpha.
 
 
@@ -94,6 +116,17 @@ def _set_array(key, make):
 
 def _set_base_array(key, a):
     return _edit(lambda o: o["base_models"][0].update({key: _array_record(a)}))
+
+
+def _negate_base_arrays(key):
+    """Damage that negates the array ``key`` of every base model."""
+
+    def change(o):
+        for record in o["base_models"]:
+            a = np.frombuffer(base64.b64decode(record[key]["data"]), dtype=record[key]["dtype"])
+            record[key] = _array_record(-a.reshape(record[key]["shape"]))
+
+    return _edit(change)
 
 
 # Ways to damage the text of a saved lda model (d=2, p=5, B1 >= 2), each of
@@ -163,6 +196,11 @@ DAMAGED_MODELS = {
     "prior_of_one": _edit(lambda o: o["base_models"][0].update(pi_hat_2=1.0)),
     "nan_in_mu_hat_1": _set_base_array("mu_hat_1", np.array([0.5, np.nan])),
     "infinite_sigma_hat": _set_base_array("sigma_hat", np.array([[np.inf, 0.0], [0.0, 1.0]])),
+    # Precisions that no positive definite covariance has: negating every
+    # omega_hat would otherwise reverse every prediction.
+    "negated_omega_hats": _negate_base_arrays("omega_hat"),
+    "asymmetric_sigma_hat": _set_base_array("sigma_hat", np.array([[1.0, 0.5], [0.0, 1.0]])),
+    "indefinite_omega_hat": _set_base_array("omega_hat", np.array([[1.0, 2.0], [2.0, 1.0]])),
     "nan_in_projection": _edit(
         lambda o: o["projections"][0].update(entries=_array_record(np.full((2, 5), np.nan)))
     ),

@@ -97,16 +97,21 @@ def two_threads():
 
 @pytest.fixture
 def inside(monkeypatch):
-    """Thread counts seen by every base-classifier fit the test runs."""
+    """Thread counts seen by every base-classifier fit and every stacked
+    covariance factorisation (one per block and class of a stacked score)
+    the test runs."""
     seen = []
-    fit_base = bc.fit_base
     libraries = _blas.LIBRARIES
 
-    def probe(*args, **kwargs):
-        seen.append(_counts(libraries))
-        return fit_base(*args, **kwargs)
+    def probing(fn):
+        def probe(*args, **kwargs):
+            seen.append(_counts(libraries))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(bc, "fit_base", probe)
+        return probe
+
+    monkeypatch.setattr(bc, "fit_base", probing(bc.fit_base))
+    monkeypatch.setattr(bc, "_stack_inverse_cholesky", probing(bc._stack_inverse_cholesky))
     return seen
 
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from rpens import base_classifiers as bc
 from rpens import ensemble as en
 from rpens import error_estimation as ee
-from rpens import errors, projections, rng, serialize
+from rpens import datagen, errors, projections, rng, serialize
 
-from conftest import alpha_candidates, alpha_objective, make_blobs
+from conftest import (
+    alpha_candidates, alpha_objective, make_blobs, pooled_covariance, rank_deficient_sample,
+)
 
 
 def _axis_projection(p, coord):
@@ -143,7 +146,7 @@ class TestStackedProjection:
         for b1 in range(cfg.B1):
             counts = []
             for b2 in range(cfg.B2):
-                proj = en._sample_projection(cfg, 6, b1, b2, en._TAG_PROJECTION)
+                proj = en._sample_projections(cfg, 6, [(b1, b2, en._TAG_PROJECTION)])[0]
                 spec = en._base_spec(cfg, rng.derive_int(cfg.master_seed, b1, b2, en._TAG_TIEBREAK))
                 try:
                     est, _, _ = ee._estimate_full(proj.apply(X), y, spec, cfg.estimator_name)
@@ -153,6 +156,177 @@ class TestStackedProjection:
                     counts.append(est.errors)
             np.testing.assert_array_equal(m.block_error_counts[b1], counts)
             assert m.winner_indices[b1] == counts.index(min(c for c in counts if c >= 0))
+
+
+def _spy_stacked_counts(monkeypatch):
+    """The list of what each call of the stacked scorer returns from now on."""
+    seen = []
+    stacked_counts = en._stacked_counts
+
+    def spying(*args):
+        seen.append(stacked_counts(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(en, "_stacked_counts", spying)
+    return seen
+
+
+def _scalar_reference(monkeypatch, run):
+    """run() with the stacked scorer taken out, so every block takes the scalar loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(en, "_stacked_counts", lambda *args: None)
+        return run()
+
+
+def _block_outputs(blk):
+    return (
+        blk.winner_index, blk.projection.entries.tobytes(), blk.estimate,
+        serialize._encode_base_model(blk.model), blk.vote_labels.tolist(),
+        blk.candidate_counts.tolist(),
+    )
+
+
+class TestStackedScorer:
+    """Blocks are scored as a stack of counts; the scalar loop is their oracle."""
+
+    @pytest.mark.parametrize("base", ["lda", "qda"])
+    @pytest.mark.parametrize("model_id", [1, 2, 3, 4])
+    def test_counts_and_fit_equal_the_scalar_loop(self, monkeypatch, model_id, base):
+        seen = _spy_stacked_counts(monkeypatch)
+        for n, d in itertools.product((30, 50, 200), (2, 5)):
+            s = datagen.sample(datagen.ModelSpec(model_id=model_id, p=50), n,
+                               rng.make_rng(77, model_id, n))
+            cfg = en.EnsembleConfig(B1=2, B2=50, d=d, base=base, master_seed=100 * n + d)
+            seen.clear()
+            stacked = serialize.dumps(en.fit(s.X, s.y, cfg))
+            assert len(seen) == cfg.B1 and all(c is not None for c in seen), (n, d)
+            ref = _scalar_reference(monkeypatch, lambda: en.fit(s.X, s.y, cfg))
+            np.testing.assert_array_equal(np.stack(seen), ref.block_error_counts)
+            assert stacked == serialize.dumps(ref), (n, d)
+
+    def test_rank_deficient_data_fall_back_to_ridge_and_failed_candidates(self, monkeypatch):
+        X, y = rank_deficient_sample()
+        with pytest.raises(np.linalg.LinAlgError):
+            bc._lda_stack_discriminants(np.stack([X[:, [2, 3]], X[:, [2, 4]]]), y)
+        cfg = en.EnsembleConfig(
+            B1=3, B2=6, d=2, base="lda", projection_kind="axis_aligned", master_seed=1
+        )
+        seen = _spy_stacked_counts(monkeypatch)
+        m = en.fit(X, y, cfg)
+        assert len(seen) == cfg.B1 and all(c is None for c in seen)
+        ref = _scalar_reference(monkeypatch, lambda: en.fit(X, y, cfg))
+        assert serialize.dumps(m) == serialize.dumps(ref)
+        assert (m.block_error_counts == -1).any()
+        assert any(
+            not np.allclose(bm.sigma_hat, pooled_covariance(proj.apply(X), y), rtol=1e-12, atol=0)
+            for bm, proj in zip(m.base_models, m.projections)
+        ), "no winner took the ridge fallback"
+
+    def test_rank_one_scatter_falls_back_under_haar_projections(self, monkeypatch):
+        # Each class is a line along one direction, so every projected pooled
+        # covariance is singular; its Cholesky factorisation succeeds or
+        # fails with the rounding, and the stack must refuse it either way.
+        gen = np.random.default_rng(1)
+        y = np.array([1] * 10 + [2] * 10)
+        X = np.outer(y == 2, gen.normal(size=6)) + np.outer(gen.normal(size=20), gen.normal(size=6))
+        cfg = en.EnsembleConfig(B1=8, B2=2, d=2, base="lda", master_seed=5)
+        seen = _spy_stacked_counts(monkeypatch)
+        m = en.fit(X, y, cfg)
+        assert len(seen) == cfg.B1 and all(c is None for c in seen)
+        ref = _scalar_reference(monkeypatch, lambda: en.fit(X, y, cfg))
+        assert serialize.dumps(m) == serialize.dumps(ref)
+
+    def test_qda_pivot_at_the_tolerance_falls_back(self, monkeypatch):
+        # The data of the one-point refit test: without its last point
+        # class 1 lies on a line, so that point's downdate pivot is zero up
+        # to rounding, and stays so under any linear map.
+        Z1 = np.array([[-2.0, -4.0], [-1.0, -2.0], [1.0, 2.0], [2.0, 4.0], [0.0, 3.0]])
+        Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
+        Z = np.vstack([Z1, Z2])
+        y = np.array([1] * 5 + [2] * 6)
+        with pytest.raises(np.linalg.LinAlgError, match="pivot"):
+            bc._qda_loo_stack_discriminants(Z[None], y)
+        block = [
+            projections.Projection(entries=np.array([[0.6, 0.8], [-0.8, 0.6]])),
+            projections.Projection(entries=np.eye(2)),
+        ]
+        candidates = [(proj, bc.BaseSpec("qda")) for proj in block]
+        seen = _spy_stacked_counts(monkeypatch)
+        blk = en._select(Z, y, candidates, "leave_one_out")
+        assert len(seen) == 1 and seen[0] is None
+        ref = _scalar_reference(monkeypatch, lambda: en._select(Z, y, candidates, "leave_one_out"))
+        assert _block_outputs(blk) == _block_outputs(ref)
+
+    def test_exact_zero_discriminant_trips_the_margin_guard(self, monkeypatch):
+        # Integer grid, equal classes: the point at 3 lies exactly on the
+        # lda boundary, where the scalar path's >= 0 decides its label.
+        grid = np.array([0.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0])
+        y = np.array([1] * 4 + [2] * 4)
+        X = np.stack([grid, np.random.default_rng(4).normal(size=8)], axis=1)
+        assert 0.0 in bc._lda_discriminant(bc.fit_lda(X[:, :1], y), X[:, :1])
+        candidates = [(_axis_projection(2, c), bc.BaseSpec("lda")) for c in (1, 0)]
+        seen = _spy_stacked_counts(monkeypatch)
+        blk = en._select(X, y, candidates, "resubstitution")
+        assert len(seen) == 1 and seen[0] is None
+        ref = _scalar_reference(monkeypatch, lambda: en._select(X, y, candidates, "resubstitution"))
+        assert _block_outputs(blk) == _block_outputs(ref)
+
+    def test_winner_that_rescores_to_another_count_falls_back(self, monkeypatch):
+        X, y = make_blobs(15, 5, 0.5, seed=64)
+        cfg = en.EnsembleConfig(B1=3, B2=4, d=2, base="qda", master_seed=2)
+        ref = _scalar_reference(monkeypatch, lambda: en.fit(X, y, cfg))
+        assert (ref.block_error_counts[:, 0] > 0).all()
+        # Claim zero errors everywhere: candidate 0 wins and re-scores higher.
+        monkeypatch.setattr(en, "_stacked_counts", lambda *args: np.zeros(cfg.B2, dtype=np.int64))
+        assert serialize.dumps(en.fit(X, y, cfg)) == serialize.dumps(ref)
+
+    @pytest.mark.parametrize("base, estimator", [("lda", "resubstitution"), ("qda", "leave_one_out")])
+    @pytest.mark.parametrize("labels", [
+        lambda y: np.where(y == 2, 3, 1), lambda y: y == 1, lambda y: y[:-1], lambda y: y[:, None],
+    ], ids=["label_3", "boolean", "too_few", "column"])
+    def test_labels_the_base_fit_refuses_raise_as_in_the_scalar_loop(
+        self, monkeypatch, base, estimator, labels
+    ):
+        X, y = make_blobs(10, 4, 1.0, seed=67)
+        block = [_axis_projection(4, c) for c in (0, 1, 2)]
+
+        def run():
+            with pytest.raises(Exception) as info:
+                en.select_block_winner(X, labels(y), block, bc.BaseSpec(base), estimator)
+            return info.type, str(info.value)
+
+        assert run() == _scalar_reference(monkeypatch, run)
+
+    @pytest.mark.parametrize("base, estimator", [
+        ("lda", "leave_one_out"), ("qda", "resubstitution"), ("knn", "leave_one_out"),
+        ("lda", "sample_split"), ("qda", "sample_split"),
+    ])
+    def test_other_pairings_take_the_scalar_loop(self, monkeypatch, base, estimator):
+        X, y = make_blobs(12, 5, 1.0, seed=65)
+        cfg = en.EnsembleConfig(B1=2, B2=3, d=2, base=base, estimator=estimator, master_seed=3)
+        seen = _spy_stacked_counts(monkeypatch)
+        en.fit(X, y, cfg)
+        assert len(seen) == cfg.B1 and all(c is None for c in seen)
+
+    def test_small_classes_keep_the_scalar_warnings(self, monkeypatch):
+        # Class 2 has d + 1 points: fit_qda accepts it, but deleting one of
+        # them leaves too few, so qda_loo_labels fails those points and warns.
+        X, y = make_blobs(12, 5, 1.0, seed=66)
+        keep = np.flatnonzero(y == 1).tolist() + np.flatnonzero(y == 2)[:3].tolist()
+        X, y = X[keep], y[keep]
+        cfg = en.EnsembleConfig(B1=2, B2=3, d=2, base="qda", alpha=0.5, master_seed=4)
+        seen = _spy_stacked_counts(monkeypatch)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            m = en.fit(X, y, cfg)
+        assert len(seen) == cfg.B1 and all(c is None for c in seen)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = _scalar_reference(monkeypatch, lambda: en.fit(X, y, cfg))
+        assert serialize.dumps(m) == serialize.dumps(ref)
+        messages = [str(w.message) for w in got]
+        assert messages == [str(w.message) for w in want]
+        assert messages and all("leave-one-out refits failed" in msg for msg in messages)
 
 
 class TestFit:
@@ -187,7 +361,7 @@ class TestFit:
         cfg = en.EnsembleConfig(B1=4, B2=3, d=2, base="lda", master_seed=13)
         m = en.fit(X, y, cfg)
         for b1, w in enumerate(m.winner_indices):
-            again = en._sample_projection(cfg, 5, b1, w, en._TAG_PROJECTION)
+            again = en._sample_projections(cfg, 5, [(b1, w, en._TAG_PROJECTION)])[0]
             np.testing.assert_array_equal(m.projections[b1].entries, again.entries)
 
     def test_vote_counts_recount_lda(self):
@@ -470,6 +644,11 @@ class TestEstimateAlpha:
     def test_counts_outside_zero_to_b1_rejected(self, counts):
         with pytest.raises(ValueError, match=r"vote counts must lie in \[0, 3\]"):
             en.estimate_alpha(counts, [1, 2, 1, 2, 1, 2], 3)
+
+    @pytest.mark.parametrize("prior", [1.5, -2, 0, 1, Fraction(1), float("nan")])
+    def test_priors_outside_zero_to_one_rejected(self, prior):
+        with pytest.raises(ValueError, match=r"class-1 prior must lie in \(0, 1\)"):
+            en.estimate_alpha([0, 1, 2, 3], [1, 2, 1, 2], 3, priors=(prior,))
 
     def test_explicit_priors_shift_the_threshold(self):
         # one noisy class-2 point at vote 3/4: with a heavy class-2 prior

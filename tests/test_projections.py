@@ -30,6 +30,52 @@ def test_sampling_is_deterministic():
     np.testing.assert_array_equal(a.entries, b.entries)
 
 
+def _haar_by_one_qr(p, d, gen):
+    """A Haar projection as drawn before sampling was stacked: one QR per draw."""
+    q, r = np.linalg.qr(gen.standard_normal((d, p)).T, mode="reduced")
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return (q * signs).T
+
+
+@pytest.mark.parametrize("p, d, B", [(50, 5, 50), (500, 5, 10), (50, 2, 100)])
+def test_stacked_haar_sampler_equals_per_candidate_draws(p, d, B):
+    stacked = projections._sample_haar_stack(p, d, [rng.make_rng(12, p, b) for b in range(B)])
+    assert len(stacked) == B
+    for b, proj in enumerate(stacked):
+        one = projections.sample_haar(p, d, rng.make_rng(12, p, b))
+        np.testing.assert_array_equal(proj.entries, one.entries)
+        np.testing.assert_array_equal(proj.entries, _haar_by_one_qr(p, d, rng.make_rng(12, p, b)))
+
+
+def test_stacked_haar_sampler_validates_every_candidate(monkeypatch):
+    def rngs():
+        return [rng.make_rng(13, b) for b in range(5)]
+
+    checked = []
+    post_init = projections.Projection.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(projections.Projection, "__post_init__", counting)
+    projections._sample_haar_stack(20, 3, rngs())
+    assert len(checked) == 5
+
+    qr = np.linalg.qr
+
+    def last_factor_stretched(a, mode):
+        q, r = qr(a, mode=mode)
+        q = q.copy()
+        q[-1] *= 2.0
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", last_factor_stretched)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        projections._sample_haar_stack(20, 3, rngs())
+
+
 def test_axis_aligned_rows_are_basis_vectors():
     proj = projections.sample_axis_aligned(9, 4, rng.make_rng(0, "ax"))
     for row in proj.entries:

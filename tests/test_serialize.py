@@ -9,7 +9,9 @@ from rpens import base_classifiers as bc
 from rpens import ensemble as en
 from rpens import errors, serialize
 
-from conftest import DAMAGED_MODELS, _array_record, make_blobs
+from conftest import (
+    DAMAGED_MODELS, _array_record, make_blobs, pooled_covariance, rank_deficient_sample,
+)
 
 
 def _fit(base, seed=100, **kw):
@@ -150,6 +152,34 @@ class TestLoadBoundary:
         record[field] = value if isinstance(value, int) else _array_record(value)
         with pytest.raises(errors.DataFormatError):
             serialize.model_from_dict(obj)
+
+    @pytest.mark.parametrize("field, value", [
+        ("log_det_1", lambda bm: bm["log_det_1"] + 1e-3),
+        ("log_det_2", lambda bm: -bm["log_det_2"] - 1.0),
+        ("omega_hat_2", lambda bm: _array_record(np.array([[1.0, 0.0], [0.0, -1.0]]))),
+        ("sigma_hat_1", lambda bm: _array_record(np.array([[1.0, 0.0], [1e-3, 1.0]]))),
+    ], ids=["log_det_1_off", "log_det_2_off", "indefinite_omega", "asymmetric_sigma"])
+    def test_qda_matrices_must_be_a_positive_definite_fit(self, field, value):
+        m, _ = _fit("qda")
+        obj = json.loads(serialize.dumps(m))
+        record = obj["base_models"][1]
+        record[field] = value(record)
+        with pytest.raises(errors.DataFormatError, match=field):
+            serialize.loads(json.dumps(obj))
+
+    def test_model_fitted_through_the_ridge_fallback_round_trips(self):
+        X, y = rank_deficient_sample()
+        cfg = en.EnsembleConfig(
+            B1=3, B2=6, d=2, base="lda", projection_kind="axis_aligned", master_seed=1
+        )
+        m = en.fit(X, y, cfg)
+        ridged = [
+            not np.allclose(bm.sigma_hat, pooled_covariance(proj.apply(X), y), rtol=1e-12, atol=0)
+            for bm, proj in zip(m.base_models, m.projections)
+        ]
+        assert any(ridged), "no winner took the ridge fallback"
+        text = serialize.dumps(m)
+        assert serialize.dumps(serialize.loads(text)) == text
 
     @pytest.mark.parametrize("base, field, value", [
         ("qda", "pi_hat_1", np.nan),
