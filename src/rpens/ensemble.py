@@ -9,10 +9,13 @@ reaches the threshold ``alpha_hat``.
 
 Fits run serially.  Everything downstream of the master seed is
 deterministic: every projection and every tie-break stream is derived from
-a keyed seed, never from call order.  The candidates of a block, and the
-winners at prediction time, are projected together: one product of X with
-their stacked matrices for each group of at most p // d of them.  A block's
-Haar candidates each draw their own Gaussian and share one stacked QR call.
+a keyed seed, never from call order.  Candidates are sampled and projected
+in waves of max(1, (p // d) // B2) whole blocks: each Haar candidate draws
+its own Gaussian, a wave shares one stacked QR call, and its images come
+from one product of X with the stacked matrices of each group of at most
+p // d candidates, so a product may span blocks but is never wider than X.
+The winners at prediction time are projected the same way.  Each block is
+still scored and selected on its own.
 
 Blocks of lda candidates under resubstitution and qda candidates under
 leave-one-out are scored as a stack: batched class moments, one batched
@@ -30,11 +33,14 @@ The public entries that run BLAS (``fit``, ``votes_many``, ``select_d_profile``,
 ``select_block_winner``) run the bundled OpenBLAS on one thread and restore
 the caller's thread count on return, so their results do not depend on it.
 Bit-identical outputs hold for one numpy/BLAS build: BLAS does not promise
-that a stacked product equals the separate products in every bit.
+that a stacked product equals the separate products in every bit, so when
+B2 < p // d the last bits of stored floats may differ from a fit that
+projects one block at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -181,7 +187,8 @@ def _projected(X, projections):
     """Yield each projection's image of X, one stacked product per group.
 
     A group holds at most p // d projections, so that its stacked image is
-    never wider than X.
+    never wider than X.  A fit passes a whole wave of blocks, so one group
+    may hold the candidates of several blocks.
     """
     size = max(1, X.shape[-1] // max(proj.d for proj in projections))
     for start in range(0, len(projections), size):
@@ -231,10 +238,11 @@ def _stacked_counts(images, y, kind, estimator):
     return np.sum((delta >= 0.0) != (y == 1), axis=-1)
 
 
-def _select(X, y, candidates, estimator, point_ids=None) -> _BlockResult:
+def _select(images, y, candidates, estimator, point_ids=None) -> _BlockResult:
     """Fit the (projection, BaseSpec) candidates and keep the first strict minimum.
 
-    Every candidate's error count is recorded, -1 where it failed to fit.
+    ``images[i]`` is candidate i's image of the training points.  Every
+    candidate's error count is recorded, -1 where it failed to fit.
     The winner's per-point labels are its leave-one-out or in-sample
     predictions, the votes it casts on the training data.
 
@@ -242,7 +250,6 @@ def _select(X, y, candidates, estimator, point_ids=None) -> _BlockResult:
     minimum is re-scored through _estimate_full (see the module docstring).
     """
     candidates = list(candidates)
-    images = list(_projected(X, [proj for proj, _ in candidates]))
     counts = _stacked_counts(images, y, candidates[0][1].kind, estimator)
     if counts is not None:
         idx = int(np.argmin(counts))
@@ -271,20 +278,47 @@ def _select(X, y, candidates, estimator, point_ids=None) -> _BlockResult:
     return _BlockResult(idx, proj, model, est, labels, counts)
 
 
+def _run_blocks(cfg, X, y, b1s, key_head=()) -> list:
+    """Evaluate blocks ``b1s`` of B2 keyed candidates, in waves of whole blocks.
+
+    A wave holds max(1, (p // d) // B2) blocks.  Its candidates are sampled
+    together and projected with one product per p // d of them (see
+    _projected), so a wave's product is no wider than X unless a single
+    block's is (B2 > p // d).  Each block's images are copied out of it in
+    turn and selected on their own.
+    """
+    p = X.shape[1]
+    per_wave = max(1, (p // cfg.d) // cfg.B2)
+    # Only kNN reads a tie seed, so lda and qda derive none.
+    knn = cfg.base == "knn"
+    b1s = list(b1s)
+    blocks = []
+    for start in range(0, len(b1s), per_wave):
+        wave = b1s[start:start + per_wave]
+        keys = [(*key_head, b1, b2) for b1 in wave for b2 in range(cfg.B2)]
+        projections = _sample_projections(cfg, p, [(*key, _TAG_PROJECTION) for key in keys])
+        specs = [
+            _base_spec(cfg, derive_int(cfg.master_seed, *key, _TAG_TIEBREAK) if knn else 0)
+            for key in keys
+        ]
+        images = _projected(X, projections)
+        for i, b1 in enumerate(wave):
+            block = slice(i * cfg.B2, (i + 1) * cfg.B2)
+            try:
+                blocks.append(_select(
+                    list(itertools.islice(images, cfg.B2)), y,
+                    zip(projections[block], specs[block]), cfg.estimator_name,
+                ))
+            except BlockFailureError as exc:
+                raise BlockFailureError(f"{exc} in block {b1}") from None
+        # The next wave's sampling should not find this wave's product held.
+        del images, projections
+    return blocks
+
+
 def _run_block(cfg, X, y, b1, *, key_head=()) -> _BlockResult:
-    """Evaluate block ``b1`` of B2 keyed candidates."""
-    key = (*key_head, b1)
-    projections = _sample_projections(
-        cfg, X.shape[1], [(*key, b2, _TAG_PROJECTION) for b2 in range(cfg.B2)]
-    )
-    specs = [
-        _base_spec(cfg, derive_int(cfg.master_seed, *key, b2, _TAG_TIEBREAK))
-        for b2 in range(cfg.B2)
-    ]
-    try:
-        return _select(X, y, zip(projections, specs), cfg.estimator_name)
-    except BlockFailureError as exc:
-        raise BlockFailureError(f"{exc} in block {b1}") from None
+    """Evaluate block ``b1`` of B2 keyed candidates: a wave of one block."""
+    return _run_blocks(cfg, X, y, [b1], key_head=key_head)[0]
 
 
 @_blas.single_thread
@@ -293,14 +327,14 @@ def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
 
     ``block`` is a sequence of Projections; equal estimates resolve to the
     smallest index.  Returns (projection, ErrorEstimate, fitted model).
-    Raises BlockFailureError when every candidate fails to fit.
+    Refuses the data fit refuses, before projecting it, and raises
+    BlockFailureError when every candidate fails to fit.
     """
     if len(block) == 0:
         raise BlockFailureError("empty projection block")
-    X = np.asarray(X, dtype=np.float64)
-    _check_finite(X)
+    X, y = _training_data(X, y, ())
     candidates = ((proj, base_spec) for proj in block)
-    blk = _select(X, np.asarray(y), candidates, estimator, point_ids)
+    blk = _select(list(_projected(X, block)), y, candidates, estimator, point_ids)
     return blk.projection, blk.estimate, blk.model
 
 
@@ -333,7 +367,7 @@ def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
     """Fit the ensemble on labelled data."""
     X, y = _training_data(X, y, [cfg.d])
     n = X.shape[0]
-    blocks = [_run_block(cfg, X, y, b1) for b1 in range(cfg.B1)]
+    blocks = _run_blocks(cfg, X, y, range(cfg.B1))
     vote_counts = np.zeros(n, dtype=np.int64)
     for blk in blocks:
         vote_counts += (blk.vote_labels == 1)
@@ -514,7 +548,7 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig):
     for d in candidates:
         cfg_d = replace(cfg, d=d)
         winner_counts = np.array(
-            [_run_block(cfg_d, X, y, b1, key_head=(d,)).error_count for b1 in range(cfg.B1)],
+            [blk.error_count for blk in _run_blocks(cfg_d, X, y, range(cfg.B1), key_head=(d,))],
             dtype=np.int64,
         )
         profile[d] = winner_counts

@@ -255,7 +255,7 @@ class Theorem1Result:
 
 def _winner_predictions(cfg, X_tr, y_tr, X_te, key_head, n_winners):
     """Boolean matrix: row i is winner i's class-1 votes on the test set."""
-    blocks = [en._run_block(cfg, X_tr, y_tr, i, key_head=key_head) for i in range(n_winners)]
+    blocks = en._run_blocks(cfg, X_tr, y_tr, range(n_winners), key_head=key_head)
     return en._class1_votes(
         [blk.projection for blk in blocks], [blk.model for blk in blocks], X_te
     )

@@ -106,10 +106,11 @@ def _sample_haar_stack(p: int, d: int, rngs) -> list:
         raise InvalidDimensionError(f"need 1 <= d <= p, got d={d}, p={p}")
     gauss = np.stack([rng.standard_normal((d, p)) for rng in rngs])
     q, r = np.linalg.qr(np.swapaxes(gauss, -1, -2), mode="reduced")
+    del gauss
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    entries = np.swapaxes(q * signs[:, None, :], -1, -2)
-    return [Projection(entries=a, kind="haar") for a in entries]
+    q *= signs[:, None, :]
+    return [Projection(entries=a, kind="haar") for a in np.swapaxes(q, -1, -2)]
 
 
 def sample_axis_aligned(p: int, d: int, rng: np.random.Generator) -> Projection:
@@ -130,17 +131,19 @@ def apply(projection: Projection, X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
-        return _apply_stack([projection], X[None, :])[0][0]
-    return _apply_stack([projection], X)[0]
+        return next(_apply_stack([projection], X[None, :]))[0]
+    return next(_apply_stack([projection], X))
 
 
-def _apply_stack(projections, X: np.ndarray) -> list:
+def _apply_stack(projections, X: np.ndarray):
     """Project an (n, p) array by several projections with one matrix product.
 
     Stacks the projections' entries into one matrix S and computes
-    X @ S.T once.  Returns one C-contiguous (n, d) array per projection,
-    equal to its own product X @ A.T except that BLAS may move the last
-    bits with the shape of the product.
+    X @ S.T once.  Returns an iterator over one C-contiguous (n, d) array
+    per projection, each copied out of the product only when it is asked
+    for, so a consumer that drops each image in turn never holds a second
+    copy of the whole product.  Each equals its own product X @ A.T except
+    that BLAS may move the last bits with the shape of the product.
     """
     X = np.asarray(X, dtype=np.float64)
     for proj in projections:
@@ -150,7 +153,7 @@ def _apply_stack(projections, X: np.ndarray) -> list:
             )
     image = X @ np.concatenate([proj.entries for proj in projections]).T
     ends = np.cumsum([proj.d for proj in projections])
-    return [
+    return (
         np.ascontiguousarray(image[:, end - proj.d:end])
         for proj, end in zip(projections, ends)
-    ]
+    )

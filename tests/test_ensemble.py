@@ -94,6 +94,21 @@ class TestSelectBlockWinner:
         with pytest.raises(errors.BlockFailureError):
             en.select_block_winner(X, y, [], bc.BaseSpec("lda"), "resubstitution")
 
+    @pytest.mark.parametrize("labels, error", [
+        ([1.5] * 10 + [2.0] * 10, ValueError),
+        ([2] * 20, errors.MissingClassError),
+    ], ids=["fractional", "one_class"])
+    def test_labels_fit_refuses_are_refused_before_projecting(self, monkeypatch, labels, error):
+        X = np.random.default_rng(38).normal(size=(20, 4))
+        block = [projections.sample_haar(4, 2, rng.make_rng(1, i)) for i in range(3)]
+
+        def refuse_apply(*args, **kwargs):
+            raise AssertionError("projected before the labels were checked")
+
+        monkeypatch.setattr(projections, "_apply_stack", refuse_apply)
+        with pytest.raises(error):
+            en.select_block_winner(X, labels, block, bc.BaseSpec("lda"), "resubstitution")
+
     def test_all_candidates_failing_raises(self):
         # constant rows per class leave nothing for a covariance estimate
         X = np.vstack([np.zeros((3, 4)), np.ones((3, 4))])
@@ -117,6 +132,18 @@ class TestStackedProjection:
         )
         np.testing.assert_array_equal(en.votes_many(m, probes), expected)
 
+    @staticmethod
+    def _count_groups(monkeypatch):
+        groups = []
+        apply_stack = projections._apply_stack
+
+        def counting_apply_stack(projs, X):
+            groups.append(len(projs))
+            return apply_stack(projs, X)
+
+        monkeypatch.setattr(projections, "_apply_stack", counting_apply_stack)
+        return groups
+
     def test_fit_and_votes_call_the_stacked_product_once_per_group(self, monkeypatch):
         groups = []
         apply_stack = projections._apply_stack
@@ -138,15 +165,31 @@ class TestStackedProjection:
         en.votes_many(m, X)
         assert groups == [3, 1]
 
+    def test_groups_cross_block_boundaries_when_b2_is_below_p_over_d(self, monkeypatch):
+        # p // d = 6 candidates per product: waves of three blocks of two.
+        groups = self._count_groups(monkeypatch)
+        X, y = make_blobs(13, 12, 2.0, seed=65)
+        cfg = en.EnsembleConfig(B1=4, B2=2, d=2, base="lda", master_seed=3)
+        m = en.fit(X, y, cfg)
+        assert groups == [6, 2]
+        groups.clear()
+        en.select_d_profile(X, y, [2, 3], cfg)
+        assert groups == [6, 2, 4, 4]
+        groups.clear()
+        en.votes_many(m, X)
+        assert groups == [4]
+
+    # (p, B2): a block of several groups, and waves of blocks sharing a group.
+    @pytest.mark.parametrize("p, B2", [(6, 7), (12, 2)], ids=["groups_per_block", "blocks_per_group"])
     @pytest.mark.parametrize("base", ["lda", "qda", "knn"])
-    def test_block_of_several_groups_matches_per_candidate_fits(self, base):
-        X, y = make_blobs(13, 6, 1.0, seed=63)
-        cfg = en.EnsembleConfig(B1=4, B2=7, d=2, base=base, master_seed=8)
+    def test_block_of_several_groups_matches_per_candidate_fits(self, base, p, B2):
+        X, y = make_blobs(13, p, 1.0, seed=63)
+        cfg = en.EnsembleConfig(B1=4, B2=B2, d=2, base=base, master_seed=8)
         m = en.fit(X, y, cfg)
         for b1 in range(cfg.B1):
             counts = []
             for b2 in range(cfg.B2):
-                proj = en._sample_projections(cfg, 6, [(b1, b2, en._TAG_PROJECTION)])[0]
+                proj = en._sample_projections(cfg, p, [(b1, b2, en._TAG_PROJECTION)])[0]
                 spec = en._base_spec(cfg, rng.derive_int(cfg.master_seed, b1, b2, en._TAG_TIEBREAK))
                 try:
                     est, _, _ = ee._estimate_full(proj.apply(X), y, spec, cfg.estimator_name)
@@ -156,6 +199,25 @@ class TestStackedProjection:
                     counts.append(est.errors)
             np.testing.assert_array_equal(m.block_error_counts[b1], counts)
             assert m.winner_indices[b1] == counts.index(min(c for c in counts if c >= 0))
+
+    @pytest.mark.parametrize("base", ["lda", "qda"])
+    def test_one_block_of_a_wave_falls_back_alone(self, monkeypatch, base):
+        X, y = make_blobs(13, 12, 1.0, seed=66)
+        cfg = en.EnsembleConfig(B1=4, B2=2, d=2, base=base, master_seed=4)
+        groups = self._count_groups(monkeypatch)
+        seen = []
+        stacked_counts = en._stacked_counts
+
+        def refuse_second_block(*args):
+            seen.append(None if len(seen) == 1 else stacked_counts(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(en, "_stacked_counts", refuse_second_block)
+        m = en.fit(X, y, cfg)
+        assert groups == [6, 2]
+        assert [c is None for c in seen] == [False, True, False, False]
+        ref = _scalar_reference(monkeypatch, lambda: en.fit(X, y, cfg))
+        assert serialize.dumps(m) == serialize.dumps(ref)
 
 
 def _spy_stacked_counts(monkeypatch):
@@ -251,10 +313,13 @@ class TestStackedScorer:
             projections.Projection(entries=np.eye(2)),
         ]
         candidates = [(proj, bc.BaseSpec("qda")) for proj in block]
+        images = list(en._projected(Z, block))
         seen = _spy_stacked_counts(monkeypatch)
-        blk = en._select(Z, y, candidates, "leave_one_out")
+        blk = en._select(images, y, candidates, "leave_one_out")
         assert len(seen) == 1 and seen[0] is None
-        ref = _scalar_reference(monkeypatch, lambda: en._select(Z, y, candidates, "leave_one_out"))
+        ref = _scalar_reference(
+            monkeypatch, lambda: en._select(images, y, candidates, "leave_one_out")
+        )
         assert _block_outputs(blk) == _block_outputs(ref)
 
     def test_exact_zero_discriminant_trips_the_margin_guard(self, monkeypatch):
@@ -265,10 +330,13 @@ class TestStackedScorer:
         X = np.stack([grid, np.random.default_rng(4).normal(size=8)], axis=1)
         assert 0.0 in bc._lda_discriminant(bc.fit_lda(X[:, :1], y), X[:, :1])
         candidates = [(_axis_projection(2, c), bc.BaseSpec("lda")) for c in (1, 0)]
+        images = list(en._projected(X, [proj for proj, _ in candidates]))
         seen = _spy_stacked_counts(monkeypatch)
-        blk = en._select(X, y, candidates, "resubstitution")
+        blk = en._select(images, y, candidates, "resubstitution")
         assert len(seen) == 1 and seen[0] is None
-        ref = _scalar_reference(monkeypatch, lambda: en._select(X, y, candidates, "resubstitution"))
+        ref = _scalar_reference(
+            monkeypatch, lambda: en._select(images, y, candidates, "resubstitution")
+        )
         assert _block_outputs(blk) == _block_outputs(ref)
 
     def test_winner_that_rescores_to_another_count_falls_back(self, monkeypatch):
@@ -815,17 +883,20 @@ class TestSelectD:
     def test_every_candidate_is_checked_before_any_block(self, monkeypatch):
         X, y = self._data()
         blocks = []
-        run_block = en._run_block
+        run_blocks = en._run_blocks
 
         def counting(*args, **kwargs):
             blocks.append(args)
-            return run_block(*args, **kwargs)
+            return run_blocks(*args, **kwargs)
 
-        monkeypatch.setattr(en, "_run_block", counting)
+        monkeypatch.setattr(en, "_run_blocks", counting)
         cfg = en.EnsembleConfig(B1=3, B2=3, d=1, master_seed=0)
         with pytest.raises(errors.InvalidDimensionError, match="dimension 7 outside"):
             en.select_d(X, y, [2, 3, 7], cfg)
         assert blocks == []
+        # The probe sees the blocks of a valid call, one wave run per d.
+        en.select_d(X, y, [2, 3], cfg)
+        assert len(blocks) == 2
 
 
 class TestRotationEquivariance:

@@ -3,10 +3,13 @@
 Each fit case trains an ensemble on one small seeded model-1 sample and
 pins the sha256 of ``serialize.dumps`` of the fitted model, over every
 base classifier, estimator, projection kind and a fixed or data-driven
-threshold.  One more case pins a ``select_d_profile``, and one the bytes
-of a small ``rpens simulate --out`` CSV written through ``cli.main``.  A
-change to the fitting path that is meant to keep behaviour keeps every digest; a change
-that moves one on purpose must name the output and say why.
+threshold.  Two more fit cases (lda and qda, d=1, B2=3) draw fewer
+candidates per block than p // d, so their blocks are sampled and
+projected in waves that cross block boundaries.  One more case pins a
+``select_d_profile``, and one the bytes of a small ``rpens simulate
+--out`` CSV written through ``cli.main``.  A change to the fitting path
+that is meant to keep behaviour keeps every digest; a change that moves
+one on purpose must name the output and say why.
 
 The digests hold for one numpy/BLAS build: elsewhere, rounding in the
 base classifiers can move them.  ``PYTHONPATH=src python
@@ -40,6 +43,7 @@ FIT_CASES = [
     for kind in ("haar", "axis_aligned")
     for alpha in (None, 0.4)
 ]
+WAVE_BASES = ("lda", "qda")
 
 GOLDEN = {
     "lda-resubstitution-haar-data_alpha": "2f7488e0084a7058c19d361ae72f0f3a5f45a0d18f9fd1673a4c6ffd1ac3255d",
@@ -78,6 +82,8 @@ GOLDEN = {
     "knn-sample_split-haar-fixed_alpha": "2f02377ac4f3da62ae69a323787295e3dca72362bb22f9c8a9d9f47c0b87792e",
     "knn-sample_split-axis_aligned-data_alpha": "7e5c75ca842b51d408de9770bcbf56623b417fc0e9948cfe9651208289c2884f",
     "knn-sample_split-axis_aligned-fixed_alpha": "19747c74c113ea3fe8b65cdc0c26ce2420345ad319b9fc1bf310d61cb5ba7189",
+    "lda-waves": "5bcc5920979eb6b2d5b061eaed9ade57257e7d9eaca24fdbd5099ef8e6e83ba3",
+    "qda-waves": "c7e75b184c9aa1c5da76d2552c58ca487981dd673ee749d42bdadf51811002c8",
     "select_d_profile": "895bdc57a0b4f9eb247d8f06a401730c14e2ae65246fcdd26015e4c60f1f2d4a",
     "simulate_out": "65d7bb71d2656e436ff92c681d1496e73a9e7fc661a2fcc9f4f16bf8642721b4",
 }
@@ -97,6 +103,12 @@ def _fit_digest(X, y, base, estimator, kind, alpha):
         B1=3, B2=4, d=2, base=base, estimator=estimator,
         projection_kind=kind, alpha=alpha, master_seed=5,
     )
+    return hashlib.sha256(serialize.dumps(en.fit(X, y, cfg)).encode("ascii")).hexdigest()
+
+
+def _wave_digest(X, y, base):
+    # p // d = 10 candidates per product: waves of three whole blocks.
+    cfg = en.EnsembleConfig(B1=5, B2=3, d=1, base=base, master_seed=5)
     return hashlib.sha256(serialize.dumps(en.fit(X, y, cfg)).encode("ascii")).hexdigest()
 
 
@@ -128,6 +140,11 @@ def test_fit_digest(sample, base, estimator, kind, alpha):
     assert got == GOLDEN[name], f"serialized model of {name} moved"
 
 
+@pytest.mark.parametrize("base", WAVE_BASES)
+def test_wave_fit_digest(sample, base):
+    assert _wave_digest(*sample, base) == GOLDEN[f"{base}-waves"], f"{base} wave fit moved"
+
+
 def test_select_d_profile_digest(sample):
     assert _select_d_digest(*sample) == GOLDEN["select_d_profile"], "select_d_profile moved"
 
@@ -142,6 +159,8 @@ if __name__ == "__main__":
     X, y = _sample()
     for case in FIT_CASES:
         print(f'    "{_case_id(*case)}": "{_fit_digest(X, y, *case)}",')
+    for base in WAVE_BASES:
+        print(f'    "{base}-waves": "{_wave_digest(X, y, base)}",')
     print(f'    "select_d_profile": "{_select_d_digest(X, y)}",')
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         digest = _simulate_digest(tmp)
