@@ -5,7 +5,9 @@ in {1, 2}: linear discriminant analysis with a pooled covariance,
 quadratic discriminant analysis with per-class covariances, and a
 k-nearest-neighbour vote. All fitting is deterministic; the only
 randomness is the seeded stream that splits exact distance ties in the
-nearest-neighbour classifier.
+nearest-neighbour classifier. QDA leave-one-out has one formula, the
+rank-one downdate of _qda_loo_discriminants: the ensemble runs it on a
+stack of images and qda_loo_labels on one.
 """
 
 from __future__ import annotations
@@ -216,15 +218,19 @@ class QdaModel:
         return self.mu_hat_1.shape[0]
 
 
+def _check_qda_class_sizes(n1, n2, d):
+    if min(n1, n2) < d + 1:
+        raise InvalidDimensionError(
+            f"per-class covariance needs min class size >= d + 1, got ({n1}, {n2}), d={d}"
+        )
+
+
 def fit_qda(Z, y) -> QdaModel:
     """Fit per-class priors, means and covariances (divisor n_r - 1)."""
     Z, y = _check_labelled(Z, y)
     n, d = Z.shape
     (n1, mu1, S1), (n2, mu2, S2) = _class_moments(Z, y)
-    if min(n1, n2) < d + 1:
-        raise InvalidDimensionError(
-            f"per-class covariance needs min class size >= d + 1, got ({n1}, {n2}), d={d}"
-        )
+    _check_qda_class_sizes(n1, n2, d)
     omega1, log_det_1, sigma1 = _invert_spd(S1 / (n1 - 1), context="(class 1)")
     omega2, log_det_2, sigma2 = _invert_spd(S2 / (n2 - 1), context="(class 2)")
     return QdaModel(
@@ -264,7 +270,7 @@ def predict_qda_many(model, Z):
 _LOO_PIVOT_TOL = 1e-12
 
 
-def qda_loo_labels(Z, y, model=None):
+def qda_loo_labels(Z, y):
     """Leave-one-out predicted label of each training point under QDA.
 
     Returns (labels, failed). labels[i] is the prediction for point i by
@@ -272,59 +278,26 @@ def qda_loo_labels(Z, y, model=None):
     infeasible (deleted class left with fewer than d + 1 members) or
     numerically degenerate. Failed points carry no usable label.
 
-    ``model`` is ``fit_qda(Z, y)``, fitted here when not given. Deleting
-    one point changes a single class's scatter matrix S_r by a rank-one
-    term, so the refitted inverse and log-determinant follow from the
-    model's factorisation: S_r^-1 is omega_hat_r / (n_r - 1) and
-    log det S_r is log_det_r + d log(n_r - 1). When fit_qda needed its
-    ridge for either class, every point takes an explicit refit; an
-    ill-conditioned downdate sends its one point there too.
+    Refuses what fit_qda refuses. This is the one-image lift of
+    _qda_loo_discriminants: deleting one point changes a single class's
+    scatter by a rank-one term, so every refit follows from the full-data
+    factors. When a class covariance has no Cholesky factor, where fit_qda
+    takes its ridge, every point takes an explicit refit; a downdate pivot
+    at or below _LOO_PIVOT_TOL sends its one point there too.
     """
     Z, y = _check_labelled(Z, y)
-    if model is None:
-        model = fit_qda(Z, y)
     n, d = Z.shape
-    labels = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=bool)
-
-    fitted = (
-        (model.mu_hat_1, model.sigma_hat_1, model.omega_hat_1, model.log_det_1),
-        (model.mu_hat_2, model.sigma_hat_2, model.omega_hat_2, model.log_det_2),
-    )
-    counts = {}
-    h = {}
-    log_det_scatter = {}
-    ridged = False
-    for r, (nr, _, scatter), (mu, sigma, omega, log_det) in zip(
-        (1, 2), _class_moments(Z, y), fitted
-    ):
-        counts[r] = nr
-        # Only a ridge makes fit_qda's stored covariance differ from this.
-        cov = scatter / (nr - 1)
-        ridged |= not np.array_equal(sigma, (cov + cov.T) / 2.0)
-        # Quadratic form of every point around the class mean, scaled by
-        # the inverse scatter matrix.
-        u = Z - mu
-        h[r] = np.einsum("ij,jk,ik->i", u, omega / (nr - 1), u)
-        log_det_scatter[r] = log_det + d * np.log(nr - 1.0)
-
-    if ridged:
-        for i in range(n):
-            labels[i], failed[i] = _qda_loo_refit_point(Z, y, i, d, counts)
-        return labels, failed
-
-    for r, s in ((1, 2), (2, 1)):
-        idx = np.flatnonzero(y == r)
-        if counts[r] - 1 < d + 1:
-            failed[idx] = True
-            continue
-        pivot, delta = _qda_loo_downdate(
-            h[r][idx], h[s][idx], counts[r], counts[s], d,
-            log_det_scatter[r], log_det_scatter[s], r,
-        )
-        labels[idx] = np.where(delta >= 0.0, 1, 2)
-        for j in np.flatnonzero(pivot <= _LOO_PIVOT_TOL):
-            labels[idx[j]], failed[idx[j]] = _qda_loo_refit_point(Z, y, idx[j], d, counts)
+    try:
+        delta, pivot = _qda_loo_discriminants(Z, y, collinear_tol=0.0)
+    except np.linalg.LinAlgError:
+        fit_qda(Z, y)  # raises where even the ridge fails
+        labels, refit = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+    else:
+        labels, refit = np.where(delta >= 0.0, 1, 2), pivot <= _LOO_PIVOT_TOL
+    counts = {r: int(np.sum(y == r)) for r in (1, 2)}
+    failed = np.where(y == 1, counts[1], counts[2]) - 1 < d + 1
+    for i in np.flatnonzero(refit & ~failed):
+        labels[i], failed[i] = _qda_loo_refit_point(Z, y, i, d, counts)
     return labels, failed
 
 
@@ -337,18 +310,17 @@ def _qda_loo_downdate(h_r, h_s, nr, ns, d, log_det_scatter_r, log_det_scatter_s,
     broadcast.  Deleting a point from class r downdates its scatter by a
     rank-one term with this pivot.  The discriminant is oriented as
     log(pi_1/pi_2) + ..., so it is >= 0 where the refitted rule says class 1.
+    A class of d + 1 points gives no usable discriminant, and no warning.
     """
-    c = nr / (nr - 1.0)
-    pivot = 1.0 - c * h_r
-
-    # Deleted-class pieces after the rank-one downdate.
     with np.errstate(divide="ignore", invalid="ignore"):
+        c = nr / (nr - 1.0)
+        pivot = 1.0 - c * h_r
+        # Deleted-class pieces after the rank-one downdate.
         q_r = c * c * (nr - 2.0) * h_r / pivot
         log_det_r = log_det_scatter_r + np.log(pivot) - d * np.log(nr - 2.0)
-    q_s = (ns - 1.0) * h_s
-    log_det_s = log_det_scatter_s - d * np.log(ns - 1.0)
-
-    delta = np.log((nr - 1.0) / ns) + 0.5 * (log_det_s - log_det_r) + 0.5 * (q_s - q_r)
+        q_s = (ns - 1.0) * h_s
+        log_det_s = log_det_scatter_s - d * np.log(ns - 1.0)
+        delta = np.log((nr - 1.0) / ns) + 0.5 * (log_det_s - log_det_r) + 0.5 * (q_s - q_r)
     return pivot, delta if r == 1 else -delta
 
 
@@ -367,24 +339,25 @@ def _qda_loo_refit_point(Z, y, i, d, counts):
 
 # ---------------------------------------------------------------------------
 # Stacked scoring: one candidate per leading index of a (B, n, d) stack of
-# images of the same n training points.
+# images of the same n training points.  qda_loo_labels runs the qda scorer
+# on one (n, d) image.
 
 # A stacked covariance whose Cholesky pivot keeps at most this fraction of
 # its diagonal entry is too close to collinear to score in the stack.
 _STACK_COLLINEAR_TOL = 1e-6
 
 
-def _stack_inverse_cholesky(cov):
-    """Inverse Cholesky factors and log-determinants of a (B, d, d) stack.
+def _stack_inverse_cholesky(cov, collinear_tol):
+    """Inverse Cholesky factors and log-determinants of a (..., d, d) stack.
 
     Symmetrizes each matrix first, as _invert_spd does.  Raises LinAlgError
-    when a factorisation fails or is within _STACK_COLLINEAR_TOL of it, the
-    cases where _invert_spd may need its ridge.
+    when a factorisation fails or a pivot keeps at most ``collinear_tol`` of
+    its diagonal entry; with 0, where _invert_spd takes its ridge.
     """
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
     chol = np.linalg.cholesky(cov)
     pivots = np.diagonal(chol, axis1=-2, axis2=-1)
-    if (pivots * pivots <= _STACK_COLLINEAR_TOL * np.diagonal(cov, axis1=-2, axis2=-1)).any():
+    if (pivots * pivots <= collinear_tol * np.diagonal(cov, axis1=-2, axis2=-1)).any():
         raise np.linalg.LinAlgError("covariance too close to singular")
     return np.linalg.inv(chol), 2.0 * np.log(pivots).sum(axis=-1)
 
@@ -397,38 +370,41 @@ def _lda_stack_discriminants(Zs, y):
     """
     n = Zs.shape[-2]
     (n1, mu1, S1), (n2, mu2, S2) = _class_moments(Zs, y)
-    inv, _ = _stack_inverse_cholesky((S1 + S2) / (n - 2))
+    inv, _ = _stack_inverse_cholesky((S1 + S2) / (n - 2), _STACK_COLLINEAR_TOL)
     direction = np.swapaxes(inv, -1, -2) @ (inv @ (mu1 - mu2)[..., None])
     mid = (mu1 + mu2) / 2.0
     return np.log(n1 / n2) + ((Zs - mid[..., None, :]) @ direction)[..., 0]
 
 
-def _qda_loo_stack_discriminants(Zs, y):
-    """(B, n) leave-one-out QDA discriminants, as qda_loo_labels derives them.
+def _qda_loo_discriminants(Zs, y, collinear_tol=_STACK_COLLINEAR_TOL):
+    """Leave-one-out QDA discriminants and downdate pivots of each point.
 
-    Needs at least d + 2 points in each class.  Raises LinAlgError as
-    _stack_inverse_cholesky does, and when a downdate pivot is at or below
-    _LOO_PIVOT_TOL, where qda_loo_labels would refit the point.
+    ``Zs`` is one (n, d) image or a (B, n, d) stack; returns (delta, pivot),
+    each of shape Zs.shape[:-1].  Refuses a class of under d + 1 points as
+    fit_qda does; a class of exactly d + 1 gives no usable delta for its
+    points.  Raises LinAlgError as _stack_inverse_cholesky does.  A pivot
+    at or below _LOO_PIVOT_TOL marks a point whose delta cannot be trusted.
     """
     d = Zs.shape[-1]
+    moments = _class_moments(Zs, y)
+    _check_qda_class_sizes(moments[0][0], moments[1][0], d)
     sizes, h, log_det_scatter = [], [], []
-    for nr, mu, scatter in _class_moments(Zs, y):
-        inv, log_det = _stack_inverse_cholesky(scatter / (nr - 1))
+    for nr, mu, scatter in moments:
+        inv, log_det = _stack_inverse_cholesky(scatter / (nr - 1), collinear_tol)
         # Quadratic form of every point under the inverse scatter matrix.
         v = (Zs - mu[..., None, :]) @ np.swapaxes(inv, -1, -2)
         sizes.append(nr)
         h.append(np.einsum("...i,...i->...", v, v) / (nr - 1))
         log_det_scatter.append((log_det + d * np.log(nr - 1.0))[..., None])
     delta = np.empty(Zs.shape[:-1])
+    pivot = np.empty(Zs.shape[:-1])
     for r, s in ((0, 1), (1, 0)):
         idx = y == r + 1
-        pivot, delta[..., idx] = _qda_loo_downdate(
+        pivot[..., idx], delta[..., idx] = _qda_loo_downdate(
             h[r][..., idx], h[s][..., idx], sizes[r], sizes[s], d,
             log_det_scatter[r], log_det_scatter[s], r + 1,
         )
-        if (pivot <= _LOO_PIVOT_TOL).any():
-            raise np.linalg.LinAlgError("leave-one-out downdate pivot at tolerance")
-    return delta
+    return delta, pivot
 
 
 # ---------------------------------------------------------------------------

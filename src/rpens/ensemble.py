@@ -20,14 +20,15 @@ still scored and selected on its own.
 Blocks of lda candidates under resubstitution and qda candidates under
 leave-one-out are scored as a stack: batched class moments, one batched
 Cholesky factorisation and the discriminants (for qda, the rank-one
-leave-one-out downdate) give only integer error counts.  The first minimum
-is then re-scored alone on the scalar path, so the winner's model, votes
-and saved bytes are what one fit per candidate gives.  A block takes the
-scalar loop, one fit per candidate, for every other pairing, when the
-base fit would refuse the data or a qda class has fewer than d + 2 points,
-when a stacked Cholesky factor fails or is nearly collinear, when a qda
-downdate pivot is at or below its tolerance, when a discriminant lies
-within rounding of 0, and when the winner re-scores to another count.
+leave-one-out downdate that qda_loo_labels runs on one image) give only
+integer error counts.  The first minimum is then re-scored alone on the
+scalar path, so the winner's model, votes and saved bytes are what one fit
+per candidate gives.  A block takes the scalar loop, one fit per
+candidate, for every other pairing, when the base fit would refuse the
+data or a qda class has fewer than d + 2 points, when a stacked Cholesky
+factor fails or is nearly collinear, when a qda downdate pivot is at or
+below its tolerance, when a discriminant lies within rounding of 0, and
+when the winner re-scores to another count.
 
 The public entries that run BLAS (``fit``, ``votes_many``, ``select_d_profile``,
 ``select_block_winner``) run the bundled OpenBLAS on one thread and restore
@@ -221,14 +222,15 @@ def _stacked_counts(images, y, kind, estimator):
     n1, n2 = int(np.sum(y == 1)), int(np.sum(y == 2))
     if y.shape != (n,) or n1 + n2 != n:
         return None
-    if (kind, estimator) == ("lda", "resubstitution") and n >= d + 2 and min(n1, n2) >= 1:
-        score = bc._lda_stack_discriminants
-    elif (kind, estimator) == ("qda", "leave_one_out") and min(n1, n2) >= d + 2:
-        score = bc._qda_loo_stack_discriminants
-    else:
-        return None
     try:
-        delta = score(np.stack(images), y)
+        if (kind, estimator) == ("lda", "resubstitution") and n >= d + 2 and min(n1, n2) >= 1:
+            delta = bc._lda_stack_discriminants(np.stack(images), y)
+        elif (kind, estimator) == ("qda", "leave_one_out") and min(n1, n2) >= d + 2:
+            delta, pivot = bc._qda_loo_discriminants(np.stack(images), y)
+            if (pivot <= bc._LOO_PIVOT_TOL).any():
+                return None
+        else:
+            return None
     except np.linalg.LinAlgError:
         return None
     size = np.abs(delta)
@@ -316,22 +318,21 @@ def _run_blocks(cfg, X, y, b1s, key_head=()) -> list:
     return blocks
 
 
-def _run_block(cfg, X, y, b1, *, key_head=()) -> _BlockResult:
-    """Evaluate block ``b1`` of B2 keyed candidates: a wave of one block."""
-    return _run_blocks(cfg, X, y, [b1], key_head=key_head)[0]
-
-
 @_blas.single_thread
 def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
     """Pick the projection in ``block`` with the smallest estimated error.
 
     ``block`` is a sequence of Projections; equal estimates resolve to the
     smallest index.  Returns (projection, ErrorEstimate, fitted model).
-    Refuses the data fit refuses, before projecting it, and raises
-    BlockFailureError when every candidate fails to fit.
+    Refuses the data fit refuses and a block of mixed projected dimension,
+    before projecting anything, and raises BlockFailureError when every
+    candidate fails to fit.
     """
     if len(block) == 0:
         raise BlockFailureError("empty projection block")
+    dims = sorted({proj.d for proj in block})
+    if len(dims) > 1:
+        raise InvalidDimensionError(f"a block's projections must share one dimension, got {dims}")
     X, y = _training_data(X, y, ())
     candidates = ((proj, base_spec) for proj in block)
     blk = _select(list(_projected(X, block)), y, candidates, estimator, point_ids)

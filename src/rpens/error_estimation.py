@@ -129,17 +129,17 @@ def _estimate_full(Z, y, base, method, point_ids=None):
     if method == "resubstitution":
         labels = model.predict_many(Z)
     else:
-        labels = _loo_labels(Z, y, base, point_ids, model)
+        labels = _loo_labels(Z, y, base, point_ids)
     return ErrorEstimate(int(np.sum(labels != y)), n, method), model, labels
 
 
-def _loo_labels(Z, y, base, point_ids, model=None):
-    """Leave-one-out labels; ``model`` is the full-data fit, which QDA reuses."""
+def _loo_labels(Z, y, base, point_ids):
+    """Leave-one-out labels of every point; only LDA refits one point at a time."""
     n = len(y)
     if base.kind == "knn":
         return bc.knn_loo_labels(Z, y, base.resolve_k(n), base.tie_seed, point_ids)
     if base.kind == "qda":
-        labels, failed = bc.qda_loo_labels(Z, y, model)
+        labels, failed = bc.qda_loo_labels(Z, y)
         if failed.any():
             # Conservative: an unscorable refit counts against the
             # projection rather than aborting the whole estimate.

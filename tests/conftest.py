@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rpens import base_classifiers as bc
+from rpens.errors import InvalidDimensionError, SingularCovarianceError
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -32,6 +35,32 @@ def make_blobs(n_per: int, p: int, gap: float, seed: int):
     y = np.array([1] * n_per + [2] * n_per, dtype=np.int64)
     order = gen.permutation(2 * n_per)
     return X[order], y[order]
+
+
+def count_loo_refits(monkeypatch):
+    """Indices of the points qda_loo_labels sends to an explicit refit."""
+    calls = []
+    refit = bc._qda_loo_refit_point
+
+    def counting(Z, y, i, d, counts):
+        calls.append(int(i))
+        return refit(Z, y, i, d, counts)
+
+    monkeypatch.setattr(bc, "_qda_loo_refit_point", counting)
+    return calls
+
+
+def assert_equals_explicit_qda_refits(Z, y, labels, failed):
+    """Each leave-one-out label and failure is what fit_qda without the point gives."""
+    for i in range(len(y)):
+        keep = np.arange(len(y)) != i
+        try:
+            model = bc.fit_qda(Z[keep], y[keep])
+        except (SingularCovarianceError, InvalidDimensionError):
+            assert failed[i], i
+            continue
+        assert not failed[i], i
+        assert labels[i] == model.predict_many(Z[i][None, :])[0], i
 
 
 def rank_deficient_sample():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,7 +8,7 @@ from rpens import base_classifiers as bc
 from rpens import error_estimation as ee
 from rpens import errors
 
-from conftest import make_blobs
+from conftest import assert_equals_explicit_qda_refits, count_loo_refits, make_blobs
 
 
 def _lda_line(pi_1: float):
@@ -27,19 +29,6 @@ def _lda_line(pi_1: float):
     return Z, y
 
 
-def _count_loo_refits(monkeypatch):
-    """Indices of the points qda_loo_labels sends to an explicit refit."""
-    calls = []
-    refit = bc._qda_loo_refit_point
-
-    def counting(Z, y, i, d, counts):
-        calls.append(int(i))
-        return refit(Z, y, i, d, counts)
-
-    monkeypatch.setattr(bc, "_qda_loo_refit_point", counting)
-    return calls
-
-
 def _singular_class_instance():
     """Class 1 lies on the line z2 = 2 z1 with integer moments.
 
@@ -51,18 +40,6 @@ def _singular_class_instance():
     Z1 = np.stack([t, 2.0 * t], axis=1)
     Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
     return np.vstack([Z1, Z2]), np.array([1] * 5 + [2] * 6)
-
-
-def _assert_equals_explicit_qda_refits(Z, y, labels, failed):
-    for i in range(len(y)):
-        keep = np.arange(len(y)) != i
-        try:
-            model = bc.fit_qda(Z[keep], y[keep])
-        except (errors.SingularCovarianceError, errors.InvalidDimensionError):
-            assert failed[i], i
-            continue
-        assert not failed[i], i
-        assert labels[i] == model.predict_many(Z[i][None, :])[0], i
 
 
 class TestLda:
@@ -250,9 +227,6 @@ class TestQda:
             y = np.array([1] * n1 + [2] * n2)
             labels, failed = bc.qda_loo_labels(Z, y)
             assert not failed.any()
-            handed_over = bc.qda_loo_labels(Z, y, bc.fit_qda(Z, y))
-            np.testing.assert_array_equal(handed_over[0], labels)
-            np.testing.assert_array_equal(handed_over[1], failed)
             keep = np.ones(len(y), dtype=bool)
             for i in range(len(y)):
                 keep[i] = False
@@ -266,19 +240,18 @@ class TestQda:
         dev = Z1 - Z1.mean(axis=0)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(dev.T @ dev)
-        refits = _count_loo_refits(monkeypatch)
+        refits = count_loo_refits(monkeypatch)
         labels, failed = bc.qda_loo_labels(Z, y)
         assert refits == list(range(len(y)))
         assert not failed.all()
-        _assert_equals_explicit_qda_refits(Z, y, labels, failed)
+        assert_equals_explicit_qda_refits(Z, y, labels, failed)
 
     def test_estimator_refits_every_point_when_the_fit_needed_its_ridge(self, monkeypatch):
-        # Through the estimator, which hands qda_loo_labels its fitted model.
         Z, y = _singular_class_instance()
-        refits = _count_loo_refits(monkeypatch)
+        refits = count_loo_refits(monkeypatch)
         _, _, labels = ee._estimate_full(Z, y, bc.BaseSpec("qda"), "leave_one_out")
         assert refits == list(range(len(y)))
-        _assert_equals_explicit_qda_refits(Z, y, labels, np.zeros(len(y), dtype=bool))
+        assert_equals_explicit_qda_refits(Z, y, labels, np.zeros(len(y), dtype=bool))
 
     def test_loo_refits_point_whose_deletion_is_degenerate(self, monkeypatch):
         # Without its last point class 1 lies on the line z2 = 2 z1: the
@@ -287,10 +260,10 @@ class TestQda:
         Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
         Z = np.vstack([Z1, Z2])
         y = np.array([1] * 5 + [2] * 6)
-        refits = _count_loo_refits(monkeypatch)
+        refits = count_loo_refits(monkeypatch)
         labels, failed = bc.qda_loo_labels(Z, y)
         assert refits == [4]
-        _assert_equals_explicit_qda_refits(Z, y, labels, failed)
+        assert_equals_explicit_qda_refits(Z, y, labels, failed)
 
     def test_loo_flags_too_small_class(self):
         # deleting a class-2 point leaves d points: refit infeasible
@@ -298,7 +271,9 @@ class TestQda:
         d = 2
         Z = gen.normal(size=(10, d))
         y = np.array([1] * 7 + [2] * 3)
-        labels, failed = bc.qda_loo_labels(Z, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, failed = bc.qda_loo_labels(Z, y)
         assert failed[y == 2].all()
         assert not failed[y == 1].any()
 

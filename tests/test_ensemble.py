@@ -13,7 +13,8 @@ from rpens import error_estimation as ee
 from rpens import datagen, errors, projections, rng, serialize
 
 from conftest import (
-    alpha_candidates, alpha_objective, make_blobs, pooled_covariance, rank_deficient_sample,
+    alpha_candidates, alpha_objective, assert_equals_explicit_qda_refits, count_loo_refits,
+    make_blobs, pooled_covariance, rank_deficient_sample,
 )
 
 
@@ -108,6 +109,23 @@ class TestSelectBlockWinner:
         monkeypatch.setattr(projections, "_apply_stack", refuse_apply)
         with pytest.raises(error):
             en.select_block_winner(X, labels, block, bc.BaseSpec("lda"), "resubstitution")
+
+    @pytest.mark.parametrize("base, estimator", [
+        ("lda", "resubstitution"), ("lda", "leave_one_out"), ("qda", "leave_one_out"),
+        ("knn", "leave_one_out"),
+    ])
+    def test_block_of_mixed_dimension_is_refused_before_projecting(
+        self, monkeypatch, base, estimator
+    ):
+        X, y = make_blobs(15, 6, 1.0, seed=68)
+        block = [projections.sample_haar(6, d, rng.make_rng(2, i)) for i, d in enumerate((2, 2, 3))]
+
+        def refuse_apply(*args, **kwargs):
+            raise AssertionError("projected a block of mixed dimension")
+
+        monkeypatch.setattr(projections, "_apply_stack", refuse_apply)
+        with pytest.raises(errors.InvalidDimensionError, match="one dimension"):
+            en.select_block_winner(X, y, block, bc.BaseSpec(base), estimator)
 
     def test_all_candidates_failing_raises(self):
         # constant rows per class leave nothing for a covariance estimate
@@ -306,11 +324,43 @@ class TestStackedScorer:
         Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
         Z = np.vstack([Z1, Z2])
         y = np.array([1] * 5 + [2] * 6)
-        with pytest.raises(np.linalg.LinAlgError, match="pivot"):
-            bc._qda_loo_stack_discriminants(Z[None], y)
+        _, pivot = bc._qda_loo_discriminants(Z[None], y)
+        assert np.flatnonzero(pivot[0] <= bc._LOO_PIVOT_TOL).tolist() == [4]
         block = [
             projections.Projection(entries=np.array([[0.6, 0.8], [-0.8, 0.6]])),
             projections.Projection(entries=np.eye(2)),
+        ]
+        candidates = [(proj, bc.BaseSpec("qda")) for proj in block]
+        images = list(en._projected(Z, block))
+        seen = _spy_stacked_counts(monkeypatch)
+        blk = en._select(images, y, candidates, "leave_one_out")
+        assert len(seen) == 1 and seen[0] is None
+        ref = _scalar_reference(
+            monkeypatch, lambda: en._select(images, y, candidates, "leave_one_out")
+        )
+        assert _block_outputs(blk) == _block_outputs(ref)
+
+    def test_nearly_collinear_qda_class_downdates_alone_and_falls_back_in_the_stack(
+        self, monkeypatch
+    ):
+        # Class 1 lies within 1e-3 of the line z2 = 2 z1: its covariance
+        # factors, so fit_qda takes no ridge, but its second pivot keeps
+        # far less than _STACK_COLLINEAR_TOL of the diagonal entry.
+        gen = np.random.default_rng(8)
+        t = gen.normal(size=8)
+        Z1 = np.stack([t, 2.0 * t + 1e-3 * gen.normal(size=8)], axis=1)
+        Z = np.vstack([Z1, gen.normal(size=(8, 2)) + [3.0, 0.0]])
+        y = np.array([1] * 8 + [2] * 8)
+        cov = np.cov(Z1, rowvar=False)
+        assert np.linalg.cholesky(cov)[1, 1] ** 2 <= bc._STACK_COLLINEAR_TOL * cov[1, 1]
+        refits = count_loo_refits(monkeypatch)
+        labels, failed = bc.qda_loo_labels(Z, y)
+        assert refits == [] and not failed.any()
+        assert_equals_explicit_qda_refits(Z, y, labels, failed)
+
+        block = [
+            projections.Projection(entries=np.eye(2)),
+            projections.Projection(entries=np.array([[0.0, 1.0], [1.0, 0.0]])),
         ]
         candidates = [(proj, bc.BaseSpec("qda")) for proj in block]
         images = list(en._projected(Z, block))
@@ -859,9 +909,8 @@ class TestSelectD:
         X, y = self._data()
         cfg = en.EnsembleConfig(B1=3, B2=2, d=1, base="lda", master_seed=2)
         _, profile = en.select_d_profile(X, y, [2], cfg)
-        for b1 in range(3):
-            blk = en._run_block(en.replace(cfg, d=2), X, y, b1, key_head=(2,))
-            assert profile[2][b1] == blk.error_count
+        blocks = en._run_blocks(en.replace(cfg, d=2), X, y, range(3), key_head=(2,))
+        assert profile[2].tolist() == [blk.error_count for blk in blocks]
 
     def test_thread_invariance(self):
         X, y = self._data()

@@ -131,28 +131,6 @@ class TestLeaveOneOut:
         manual = int(np.sum(labels[~failed] != y[~failed])) + int(failed.sum())
         assert est.errors == manual
 
-    def test_qda_factorises_each_class_once(self, monkeypatch):
-        # fit_qda factorises both class covariances; the leave-one-out
-        # downdate reads them from the model instead of factorising again.
-        X, y = make_blobs(15, 3, 2.0, seed=24)
-        calls = []
-        cholesky = np.linalg.cholesky
-        solve_triangular = bc.solve_triangular
-
-        def counting_cholesky(a):
-            calls.append("cholesky")
-            return cholesky(a)
-
-        def counting_solve(*args, **kwargs):
-            calls.append("solve_triangular")
-            return solve_triangular(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-        monkeypatch.setattr(bc, "solve_triangular", counting_solve)
-        ee._estimate_full(X, y, bc.BaseSpec("qda"), "leave_one_out")
-        assert calls.count("cholesky") == 2
-        assert calls.count("solve_triangular") == 2
-
 
 class TestSampleSplit:
     def test_counts_errors_on_held_out_half_only(self):
