@@ -7,9 +7,11 @@ threshold.  Two more fit cases (lda and qda, d=1, B2=3) draw fewer
 candidates per block than p // d, so their blocks are sampled and
 projected in waves that cross block boundaries.  One more case pins a
 ``select_d_profile``, and one the bytes of a small ``rpens simulate
---out`` CSV written through ``cli.main``.  A change to the fitting path
-that is meant to keep behaviour keeps every digest; a change that moves
-one on purpose must name the output and say why.
+--out`` CSV written through ``cli.main``.  Four more pin the bytes of
+one seeded ``datagen.sample`` per built-in model.  A change to the
+fitting or sampling path that is meant to keep behaviour keeps every
+digest; a change that moves one on purpose must name the output and say
+why.
 
 The digests hold for one numpy/BLAS build: elsewhere, rounding in the
 base classifiers can move them.  ``PYTHONPATH=src python
@@ -44,6 +46,7 @@ FIT_CASES = [
     for alpha in (None, 0.4)
 ]
 WAVE_BASES = ("lda", "qda")
+SAMPLE_MODELS = (1, 2, 3)
 
 GOLDEN = {
     "lda-resubstitution-haar-data_alpha": "2f7488e0084a7058c19d361ae72f0f3a5f45a0d18f9fd1673a4c6ffd1ac3255d",
@@ -86,6 +89,9 @@ GOLDEN = {
     "qda-waves": "c7e75b184c9aa1c5da76d2552c58ca487981dd673ee749d42bdadf51811002c8",
     "select_d_profile": "895bdc57a0b4f9eb247d8f06a401730c14e2ae65246fcdd26015e4c60f1f2d4a",
     "simulate_out": "65d7bb71d2656e436ff92c681d1496e73a9e7fc661a2fcc9f4f16bf8642721b4",
+    "sample-model1": "d578bfc9bbf290e1cb8689d9ef171ab35d071be8b7c52585729101cad946b898",
+    "sample-model2": "2bfb381ef636fb9f0096405817bc23702ec3623e04147bd73c9753a523560a58",
+    "sample-model3": "e028a7360749cf8c8c696ff9a6b08cd0e8779bb333addec2e1316cc6f756ece8",
 }
 
 
@@ -117,6 +123,12 @@ def _simulate_digest(out_dir):
     assert cli_main(SIMULATE_ARGS + ["--out", out]) == 0
     with open(out, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _sample_digest(model_id):
+    spec = datagen.ModelSpec(model_id=model_id, p=P)
+    s = datagen.sample(spec, N_TRAIN, make_rng(2017, "golden-sample", model_id))
+    return hashlib.sha256(s.X.tobytes() + s.y.tobytes()).hexdigest()
 
 
 def _select_d_digest(X, y):
@@ -155,6 +167,12 @@ def test_simulate_out_digest(tmp_path, capsys):
     assert got == GOLDEN["simulate_out"], "simulate --out CSV moved"
 
 
+@pytest.mark.parametrize("model_id", SAMPLE_MODELS)
+def test_sample_digest(model_id):
+    name = f"sample-model{model_id}"
+    assert _sample_digest(model_id) == GOLDEN[name], f"seeded {name} moved"
+
+
 if __name__ == "__main__":
     X, y = _sample()
     for case in FIT_CASES:
@@ -165,3 +183,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         digest = _simulate_digest(tmp)
     print(f'    "simulate_out": "{digest}",')
+    for model_id in SAMPLE_MODELS:
+        print(f'    "sample-model{model_id}": "{_sample_digest(model_id)}",')
