@@ -20,7 +20,12 @@ coordinates elsewhere.
 
 Model 4: both classes are Gaussian with block-structured covariances,
 rotated by a fixed p x p rotation drawn once from rotation_seed. The
-class signal lives in the first three pre-rotation coordinates.
+class signal lives in the first three pre-rotation coordinates. A draw
+is one matrix product: standard normals times the cached factor
+(R L_r)^T, plus the rotated mean R mu_r, where L_r is the Cholesky
+factor of class r's covariance. Its values differ in the last bits from
+versions that formed (mu_r + Z L_r^T) R^T with two products; model 1-3
+samples do not.
 
 ``sample``, ``log_density``, ``eta``, ``bayes_risk`` and the cached model
 factors run the bundled OpenBLAS on one thread and restore the caller's
@@ -107,6 +112,7 @@ def _derived(spec: ModelSpec) -> dict:
         sigma2 = np.eye(p)
         sigma2[:5, :5] = _equicorrelated(5)
         out["sigma"] = (np.eye(p), sigma2)
+        out["chol"] = tuple(np.linalg.cholesky(s) for s in out["sigma"])
     elif spec.model_id == 3:
         mu1 = np.zeros(p)
         mu1[:5] = 1.0
@@ -126,9 +132,13 @@ def _derived(spec: ModelSpec) -> dict:
             sigma[3:, 3:] = tail
             sigmas.append(sigma)
         out["sigma"] = tuple(sigmas)
-        out["rotation"] = sample_haar(p, p, make_rng(spec.rotation_seed, "rotation")).entries
+        R = sample_haar(p, p, make_rng(spec.rotation_seed, "rotation")).entries
+        out["rotation"] = R
+        # Each Cholesky factor is dropped once (R L_r)^T is built, so the
+        # cache holds no p x p array that sampling does not read.
+        out["rotated_mu"] = tuple(R @ mu for mu in out["mu"])
+        out["factor"] = tuple((R @ np.linalg.cholesky(s)).T for s in sigmas)
     if "sigma" in out:
-        out["chol"] = tuple(np.linalg.cholesky(s) for s in out["sigma"])
         out["inv"] = tuple(np.linalg.inv(s) for s in out["sigma"])
         out["log_det"] = tuple(float(np.linalg.slogdet(s)[1]) for s in out["sigma"])
     return out
@@ -155,10 +165,7 @@ def _sample_class(spec: ModelSpec, r: int, n: int, rng: np.random.Generator) -> 
         X = rng.standard_normal((n, p))
         X[:, :5] = rng.standard_cauchy((n, 5))
         return X
-    mu = der["mu"][r - 1]
-    chol = der["chol"][r - 1]
-    z = mu + rng.standard_normal((n, p)) @ chol.T
-    return z @ der["rotation"].T
+    return rng.standard_normal((n, p)) @ der["factor"][r - 1] + der["rotated_mu"][r - 1]
 
 
 @_blas.single_thread
@@ -178,7 +185,7 @@ def _gauss_log_density(X, mu, inv=None, log_det=0.0):
     if inv is None:
         q = np.einsum("ij,ij->i", diff, diff)
     else:
-        q = np.einsum("ij,jk,ik->i", diff, inv, diff)
+        q = np.einsum("ij,ij->i", diff @ inv, diff)
     p = X.shape[1]
     return -0.5 * (p * math.log(2.0 * math.pi) + log_det + q)
 
@@ -186,7 +193,7 @@ def _gauss_log_density(X, mu, inv=None, log_det=0.0):
 def _t_log_density(X, mu, inv, log_det, dof):
     p = X.shape[1]
     diff = X - mu
-    q = np.einsum("ij,jk,ik->i", diff, inv, diff)
+    q = np.einsum("ij,ij->i", diff @ inv, diff)
     const = (
         gammaln((dof + p) / 2.0)
         - gammaln(dof / 2.0)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -101,6 +102,19 @@ class TestSampling:
         want = dg._derived(spec)["sigma"][1]
         assert np.max(np.abs(cov2 - want)) < 0.12
 
+    @pytest.mark.parametrize("p", [10, 500])
+    def test_model4_draw_matches_two_product_oracle(self, p):
+        spec = dg.ModelSpec(model_id=4, p=p)
+        der = dg._derived(spec)
+        R = der["rotation"]
+        for r in (1, 2):
+            gen = _gen(12)
+            clone = copy.deepcopy(gen)
+            got = dg._sample_class(spec, r, 40, gen)
+            L = np.linalg.cholesky(der["sigma"][r - 1])
+            want = (der["mu"][r - 1] + clone.standard_normal((40, p)) @ L.T) @ R.T
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_with_eta_attaches_posterior(self):
         spec = dg.ModelSpec(model_id=1, p=3)
         s = dg.sample(spec, 50, _gen(7), with_eta=True)
@@ -135,14 +149,16 @@ class TestDensities:
         assert dg.log_density(spec, 2, mu) == pytest.approx(-2.0 * math.log(2 * math.pi))
 
     def test_model2_matches_multivariate_t_oracle(self):
-        spec = dg.ModelSpec(model_id=2, p=6)
-        der = dg._derived(spec)
-        probes = _gen(8).normal(size=(40, 6)) * 2.0
-        for r in (1, 2):
-            oracle = stats.multivariate_t(
-                loc=der["mu"][r - 1], shape=der["sigma"][r - 1], df=spec.dof[r - 1]
-            ).logpdf(probes)
-            np.testing.assert_allclose(dg.log_density(spec, r, probes), oracle, atol=1e-10)
+        # p=50 is the dimension of criterion 1's Bayes-risk cell.
+        for p in (6, 50):
+            spec = dg.ModelSpec(model_id=2, p=p)
+            der = dg._derived(spec)
+            probes = _gen(8).normal(size=(40, p)) * 2.0
+            for r in (1, 2):
+                oracle = stats.multivariate_t(
+                    loc=der["mu"][r - 1], shape=der["sigma"][r - 1], df=spec.dof[r - 1]
+                ).logpdf(probes)
+                np.testing.assert_allclose(dg.log_density(spec, r, probes), oracle, atol=1e-10)
 
     def test_model3_spot_value_and_mixture_oracle(self):
         spec = dg.ModelSpec(model_id=3, p=6)
@@ -158,15 +174,16 @@ class TestDensities:
         np.testing.assert_allclose(dg.log_density(spec, 1, probes), oracle, atol=1e-10)
 
     def test_model4_matches_rotated_gaussian_oracle(self):
-        spec = dg.ModelSpec(model_id=4, p=6)
-        der = dg._derived(spec)
-        R = der["rotation"]
-        probes = _gen(10).normal(size=(30, 6)) * 1.5
-        for r in (1, 2):
-            oracle = stats.multivariate_normal(
-                R @ der["mu"][r - 1], R @ der["sigma"][r - 1] @ R.T
-            ).logpdf(probes)
-            np.testing.assert_allclose(dg.log_density(spec, r, probes), oracle, atol=1e-9)
+        for p in (6, 50):
+            spec = dg.ModelSpec(model_id=4, p=p)
+            der = dg._derived(spec)
+            R = der["rotation"]
+            probes = _gen(10).normal(size=(30, p)) * 1.5
+            for r in (1, 2):
+                oracle = stats.multivariate_normal(
+                    R @ der["mu"][r - 1], R @ der["sigma"][r - 1] @ R.T
+                ).logpdf(probes)
+                np.testing.assert_allclose(dg.log_density(spec, r, probes), oracle, atol=1e-9)
 
     def test_eta_matches_direct_ratio(self):
         spec = dg.ModelSpec(model_id=1, p=3, pi_1=0.35)

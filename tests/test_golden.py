@@ -46,7 +46,7 @@ FIT_CASES = [
     for alpha in (None, 0.4)
 ]
 WAVE_BASES = ("lda", "qda")
-SAMPLE_MODELS = (1, 2, 3)
+SAMPLE_MODELS = (1, 2, 3, 4)
 
 GOLDEN = {
     "lda-resubstitution-haar-data_alpha": "2f7488e0084a7058c19d361ae72f0f3a5f45a0d18f9fd1673a4c6ffd1ac3255d",
@@ -92,6 +92,7 @@ GOLDEN = {
     "sample-model1": "d578bfc9bbf290e1cb8689d9ef171ab35d071be8b7c52585729101cad946b898",
     "sample-model2": "2bfb381ef636fb9f0096405817bc23702ec3623e04147bd73c9753a523560a58",
     "sample-model3": "e028a7360749cf8c8c696ff9a6b08cd0e8779bb333addec2e1316cc6f756ece8",
+    "sample-model4": "107319088fc5795c726a06d9e82ef32a55a3806fbfae5cb238ba992fa9d8a231",
 }
 
 
