@@ -110,6 +110,17 @@ def _invert_spd(sigma, context=""):
     raise AssertionError("unreachable")
 
 
+# What a fit on all but one point can raise: a class left empty or too
+# small for its covariance, or a covariance singular beyond the ridge.
+_REFIT_ERRORS = (InvalidDimensionError, MissingClassError, SingularCovarianceError)
+
+
+def _refit_label(fit, Z, y, i):
+    """Label of point i by ``fit`` run on every other point; raises what ``fit`` raises."""
+    keep = np.arange(len(y)) != i
+    return int(fit(Z[keep], y[keep]).predict_many(Z[i][None, :])[0])
+
+
 # ---------------------------------------------------------------------------
 # Linear discriminant analysis
 
@@ -282,8 +293,9 @@ def qda_loo_labels(Z, y):
     _qda_loo_discriminants: deleting one point changes a single class's
     scatter by a rank-one term, so every refit follows from the full-data
     factors. When a class covariance has no Cholesky factor, where fit_qda
-    takes its ridge, every point takes an explicit refit; a downdate pivot
-    at or below _LOO_PIVOT_TOL sends its one point there too.
+    takes its ridge, every feasible point takes an explicit refit through
+    _refit_label; a downdate pivot at or below _LOO_PIVOT_TOL sends its
+    one point there too. A refit that raises marks its point failed.
     """
     Z, y = _check_labelled(Z, y)
     n, d = Z.shape
@@ -297,7 +309,10 @@ def qda_loo_labels(Z, y):
     counts = {r: int(np.sum(y == r)) for r in (1, 2)}
     failed = np.where(y == 1, counts[1], counts[2]) - 1 < d + 1
     for i in np.flatnonzero(refit & ~failed):
-        labels[i], failed[i] = _qda_loo_refit_point(Z, y, i, d, counts)
+        try:
+            labels[i] = _refit_label(fit_qda, Z, y, i)
+        except _REFIT_ERRORS:
+            failed[i] = True
     return labels, failed
 
 
@@ -322,19 +337,6 @@ def _qda_loo_downdate(h_r, h_s, nr, ns, d, log_det_scatter_r, log_det_scatter_s,
         log_det_s = log_det_scatter_s - d * np.log(ns - 1.0)
         delta = np.log((nr - 1.0) / ns) + 0.5 * (log_det_s - log_det_r) + 0.5 * (q_s - q_r)
     return pivot, delta if r == 1 else -delta
-
-
-def _qda_loo_refit_point(Z, y, i, d, counts):
-    """Explicit one-point refit, used when the downdate is unreliable."""
-    if counts[y[i]] - 1 < d + 1:
-        return 0, True
-    keep = np.ones(len(y), dtype=bool)
-    keep[i] = False
-    try:
-        model = fit_qda(Z[keep], y[keep])
-    except (SingularCovarianceError, InvalidDimensionError, MissingClassError):
-        return 0, True
-    return int(predict_qda_many(model, Z[i][None, :])[0]), False
 
 
 # ---------------------------------------------------------------------------
@@ -467,30 +469,24 @@ def _tie_key(tie_seed, pid, query_bytes):
 def _knn_class1_counts(D, y, k, tie_seed, point_ids, queries):
     """Number of class-1 points among the k nearest, per query row of D.
 
-    Exact distance ties straddling the k-th position are resolved by
-    ranking the tied points with a keyed hash of (tie stream, point id,
-    query coordinates): a reproducible uniform ordering that depends on
-    point identity, not storage position.
+    One comparison with each row's k-th smallest distance marks the points
+    within it; a row with exactly k such points counts them all.  A row
+    with more has exact distance ties straddling the k-th position, and
+    only such a row ranks its tied points with a keyed hash of (tie
+    stream, point id, query coordinates): a reproducible uniform ordering
+    that depends on point identity, not storage position.
     """
-    m = D.shape[0]
     y1 = (y == 1).astype(np.int64)
-    part = np.partition(D, k - 1, axis=1)
-    kth = part[:, k - 1]
-    strict = D < kth[:, None]
-    at_kth = D == kth[:, None]
-    n_strict = strict.sum(axis=1)
-    n_tied = at_kth.sum(axis=1)
-    need = k - n_strict
-    counts = strict @ y1
-    easy = n_tied == need
-    if easy.any():
-        counts[easy] += at_kth[easy] @ y1
-    for i in np.flatnonzero(~easy):
-        tied = np.flatnonzero(at_kth[i])
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1]
+    within = D <= kth[:, None]
+    counts = within @ y1
+    for i in np.flatnonzero(np.count_nonzero(within, axis=1) > k):
+        strict = np.flatnonzero(D[i] < kth[i])
+        tied = np.flatnonzero(D[i] == kth[i])
         qb = np.ascontiguousarray(queries[i], dtype=np.float64).tobytes()
         keys = [_tie_key(tie_seed, int(point_ids[j]), qb) for j in tied]
-        chosen = tied[np.argsort(keys, kind="stable")[: need[i]]]
-        counts[i] += int(y1[chosen].sum())
+        chosen = tied[np.argsort(keys, kind="stable")[: k - len(strict)]]
+        counts[i] = y1[strict].sum() + y1[chosen].sum()
     return counts
 
 

@@ -220,8 +220,6 @@ def _stacked_counts(images, y, kind, estimator):
     n, d = images[0].shape
     y = np.asarray(y, dtype=np.int64)  # as _estimate_full reads it
     n1, n2 = int(np.sum(y == 1)), int(np.sum(y == 2))
-    if y.shape != (n,) or n1 + n2 != n:
-        return None
     try:
         if (kind, estimator) == ("lda", "resubstitution") and n >= d + 2 and min(n1, n2) >= 1:
             delta = bc._lda_stack_discriminants(np.stack(images), y)

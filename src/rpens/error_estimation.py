@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import base_classifiers as bc
-from .errors import (
-    EstimationFailureError,
-    InvalidDimensionError,
-    MissingClassError,
-    SingularCovarianceError,
-)
+from .errors import EstimationFailureError
 
 __all__ = [
     "ErrorEstimate",
@@ -134,7 +129,11 @@ def _estimate_full(Z, y, base, method, point_ids=None):
 
 
 def _loo_labels(Z, y, base, point_ids):
-    """Leave-one-out labels of every point; only LDA refits one point at a time."""
+    """Leave-one-out labels of every point.
+
+    Only LDA refits, one point at a time through bc._refit_label; a failed
+    refit of point i raises EstimationFailureError(i, ...).
+    """
     n = len(y)
     if base.kind == "knn":
         return bc.knn_loo_labels(Z, y, base.resolve_k(n), base.tie_seed, point_ids)
@@ -152,13 +151,9 @@ def _loo_labels(Z, y, base, point_ids):
             labels[failed] = 3 - y[failed]
         return labels
     labels = np.zeros(n, dtype=np.int64)
-    keep = np.ones(n, dtype=bool)
     for i in range(n):
-        keep[i] = False
         try:
-            model = bc.fit_base(base, Z[keep], y[keep])
-        except (MissingClassError, InvalidDimensionError, SingularCovarianceError) as exc:
+            labels[i] = bc._refit_label(bc.fit_lda, Z, y, i)
+        except bc._REFIT_ERRORS as exc:
             raise EstimationFailureError(i, f"leave-one-out refit failed at point {i}: {exc}")
-        labels[i] = model.predict_many(Z[i][None, :])[0]
-        keep[i] = True
     return labels

@@ -12,8 +12,9 @@ the fields of its dataclass, so the dataclass alone defines its layout:
 a field annotated ``np.ndarray`` is an array record, any other field a
 JSON value of its annotated type.  Base-model records add a ``kind``.
 Loading is a data boundary: a container whose records, types, counts or
-shapes do not fit together, or that holds a NaN or an infinity, raises
-DataFormatError.
+shapes do not fit together, whose audit data no fit writes (a ``block_m``
+other than the estimator's count, a winner other than its block's first
+minimum), or that holds a NaN or an infinity, raises DataFormatError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .base_classifiers import KnnModel, LdaModel, QdaModel
 from .ensemble import EnsembleConfig, EnsembleModel
+from .error_estimation import evaluation_count
 from .errors import DataFormatError, RpensError
 from .projections import Projection
 
@@ -231,8 +233,6 @@ def model_from_dict(obj: dict) -> EnsembleModel:
         raise DataFormatError(f"projections must all have shape ({cfg.d}, p)")
     for bm in base_models:
         _check_base_model(bm, cfg.d)
-    if block_m < 1 or not all(0 <= w < cfg.B2 for w in winner_indices):
-        raise DataFormatError(f"block_m must be positive and winner indices in [0, {cfg.B2})")
     labels = _decode_array(obj["train_labels"])
     n = labels.size
     _check_array(labels, _I, (n,), "train_labels", 1, 2)
@@ -242,6 +242,12 @@ def model_from_dict(obj: dict) -> EnsembleModel:
     _check_array(vote_counts, _I, (n,), "train_vote_counts", 0, cfg.B1)
     error_counts = _decode_array(obj["block_error_counts"])
     _check_array(error_counts, _I, (cfg.B1, cfg.B2), "block_error_counts", -1, block_m)
+    if block_m != evaluation_count(cfg.estimator_name, n):
+        raise DataFormatError(f"block_m {block_m} is not {cfg.estimator_name}'s count for n={n}")
+    # A fit keeps each block's first minimum over its scored (>= 0) counts.
+    scored = np.where(error_counts >= 0, error_counts, block_m + 1)
+    if (scored.argmin(axis=1) != winner_indices).any() or (scored.min(axis=1) > block_m).any():
+        raise DataFormatError("each winner index must be its block's first minimum error count")
     return EnsembleModel(
         config=cfg,
         projections=tuple(projections),

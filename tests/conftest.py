@@ -40,13 +40,14 @@ def make_blobs(n_per: int, p: int, gap: float, seed: int):
 def count_loo_refits(monkeypatch):
     """Indices of the points qda_loo_labels sends to an explicit refit."""
     calls = []
-    refit = bc._qda_loo_refit_point
+    refit = bc._refit_label
 
-    def counting(Z, y, i, d, counts):
-        calls.append(int(i))
-        return refit(Z, y, i, d, counts)
+    def counting(fit, Z, y, i):
+        if fit is bc.fit_qda:
+            calls.append(int(i))
+        return refit(fit, Z, y, i)
 
-    monkeypatch.setattr(bc, "_qda_loo_refit_point", counting)
+    monkeypatch.setattr(bc, "_refit_label", counting)
     return calls
 
 
@@ -218,6 +219,10 @@ DAMAGED_MODELS = {
     "winner_index_of_B2": _edit(lambda o: o["winner_indices"].__setitem__(0, o["config"]["B2"])),
     "negative_winner_index": _edit(lambda o: o["winner_indices"].__setitem__(0, -1)),
     "block_m_of_zero": _edit(lambda o: o.update(block_m=0)),
+    "block_m_of_other_n": _edit(lambda o: o.update(block_m=o["block_m"] + 7)),
+    "winner_not_first_minimum": _edit(lambda o: o.update(
+        winner_indices=[(w + 1) % o["config"]["B2"] for w in o["winner_indices"]]
+    )),
     # json.loads accepts the NaN and Infinity literals that json.dumps writes.
     "nan_prior": _edit(lambda o: o["base_models"][0].update(pi_hat_1=float("nan"))),
     "infinite_prior": _edit(lambda o: o["base_models"][1].update(pi_hat_2=float("inf"))),

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -416,6 +417,56 @@ class TestKnn:
         # Ranking ties by point id instead changes some label, so the
         # comparison above can see a wrong tie order.
         assert sensitive
+
+    def test_tie_hash_runs_only_on_tied_rows(self, monkeypatch):
+        # The spy counts the keys hashed per query; the test counts, per
+        # query, the points at its k-th distance when more than k points
+        # lie at or below it, and none otherwise.
+        hashed = Counter()
+        tie_key = bc._tie_key
+
+        def spy(tie_seed, pid, qb):
+            hashed[qb] += 1
+            return tie_key(tie_seed, pid, qb)
+
+        def tied_keys(Z, k, queries, loo):
+            want = Counter()
+            for i, q in enumerate(queries):
+                dist = np.sum((Z - q) ** 2, axis=1)  # exact on the grid
+                if loo:
+                    dist = np.delete(dist, i)
+                kth = np.sort(dist)[k - 1]
+                if np.sum(dist <= kth) > k:
+                    want[q.tobytes()] += int(np.sum(dist == kth))
+            return want
+
+        monkeypatch.setattr(bc, "_tie_key", spy)
+        gen = np.random.default_rng(77)
+        Z = gen.normal(size=(40, 2))
+        y = np.array([1, 2] * 20)
+        bc.predict_knn_many(bc.fit_knn(Z, y, k=7, tie_seed=3), gen.normal(size=(30, 2)))
+        bc.knn_loo_labels(Z, y, 7, tie_seed=3)
+        assert not hashed
+
+        tied_rows = plain_rows = 0
+        for trial in range(10):
+            n = int(gen.integers(10, 30))
+            k = int(gen.integers(1, n - 1))
+            Z = gen.integers(-3, 4, size=(n, 2)).astype(np.float64)
+            y = gen.integers(1, 3, size=n)
+            queries = gen.integers(-3, 4, size=(20, 2)).astype(np.float64)
+            for loo, Q in ((False, queries), (True, Z)):
+                hashed.clear()
+                if loo:
+                    bc.knn_loo_labels(Z, y, k, tie_seed=trial)
+                else:
+                    bc.predict_knn_many(bc.fit_knn(Z, y, k=k, tie_seed=trial), Q)
+                want = tied_keys(Z, k, Q, loo)
+                assert hashed == want, (trial, loo)
+                tied = np.array([q.tobytes() in want for q in Q])
+                tied_rows += int(tied.sum())
+                plain_rows += int((~tied).sum())
+        assert tied_rows and plain_rows
 
     @pytest.mark.parametrize("kwargs, error", [
         ({"k": 0}, errors.InvalidDimensionError),
