@@ -5,9 +5,9 @@ in {1, 2}: linear discriminant analysis with a pooled covariance,
 quadratic discriminant analysis with per-class covariances, and a
 k-nearest-neighbour vote. All fitting is deterministic; the only
 randomness is the seeded stream that splits exact distance ties in the
-nearest-neighbour classifier. QDA leave-one-out has one formula, the
-rank-one downdate of _qda_loo_discriminants: the ensemble runs it on a
-stack of images and qda_loo_labels on one.
+nearest-neighbour classifier. QDA has one discriminant formula for both
+error estimators, _qda_discriminants: the ensemble runs it on a stack of
+images and qda_loo_labels on one.
 """
 
 from __future__ import annotations
@@ -142,6 +142,11 @@ class LdaModel:
         return self.mu_hat_1.shape[0]
 
 
+def _check_lda_size(n, d):
+    if n < d + 2:
+        raise InvalidDimensionError(f"pooled covariance needs n >= d + 2, got n={n}, d={d}")
+
+
 def fit_lda(Z, y) -> LdaModel:
     """Fit class priors, class means and a pooled-covariance precision.
 
@@ -151,8 +156,7 @@ def fit_lda(Z, y) -> LdaModel:
     """
     Z, y = _check_labelled(Z, y)
     n, d = Z.shape
-    if n < d + 2:
-        raise InvalidDimensionError(f"pooled covariance needs n >= d + 2, got n={n}, d={d}")
+    _check_lda_size(n, d)
     (n1, mu1, S1), (n2, mu2, S2) = _class_moments(Z, y)
     omega, _, sigma = _invert_spd((S1 + S2) / (n - 2), context="(pooled)")
     return LdaModel(
@@ -290,25 +294,21 @@ def qda_loo_labels(Z, y):
     numerically degenerate. Failed points carry no usable label.
 
     Refuses what fit_qda refuses. This is the one-image lift of
-    _qda_loo_discriminants: deleting one point changes a single class's
-    scatter by a rank-one term, so every refit follows from the full-data
-    factors. When a class covariance has no Cholesky factor, where fit_qda
-    takes its ridge, every feasible point takes an explicit refit through
-    _refit_label; a downdate pivot at or below _LOO_PIVOT_TOL sends its
-    one point there too. A refit that raises marks its point failed.
+    _qda_discriminants with drop 1: deleting one point changes a single
+    class's scatter by a rank-one term, so every refit follows from the
+    full-data factors. When a class covariance has no Cholesky factor,
+    where fit_qda takes its ridge, every point takes an explicit refit
+    through _refit_label; a downdate pivot at or below _LOO_PIVOT_TOL sends
+    its one point there too. A refit that raises marks its point failed.
     """
     Z, y = _check_labelled(Z, y)
-    n, d = Z.shape
     try:
-        delta, pivot = _qda_loo_discriminants(Z, y, collinear_tol=0.0)
+        delta, pivot = _qda_discriminants(Z, y, 1, collinear_tol=0.0)
     except np.linalg.LinAlgError:
         fit_qda(Z, y)  # raises where even the ridge fails
-        labels, refit = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-    else:
-        labels, refit = np.where(delta >= 0.0, 1, 2), pivot <= _LOO_PIVOT_TOL
-    counts = {r: int(np.sum(y == r)) for r in (1, 2)}
-    failed = np.where(y == 1, counts[1], counts[2]) - 1 < d + 1
-    for i in np.flatnonzero(refit & ~failed):
+        delta = pivot = np.zeros(len(y))
+    labels, failed = np.where(delta >= 0.0, 1, 2), np.isnan(pivot)
+    for i in np.flatnonzero(pivot <= _LOO_PIVOT_TOL):
         try:
             labels[i] = _refit_label(fit_qda, Z, y, i)
         except _REFIT_ERRORS:
@@ -316,33 +316,11 @@ def qda_loo_labels(Z, y):
     return labels, failed
 
 
-def _qda_loo_downdate(h_r, h_s, nr, ns, d, log_det_scatter_r, log_det_scatter_s, r):
-    """Pivot and leave-one-out discriminant of points of class r.
-
-    ``h_r`` and ``h_s`` are each point's quadratic form around the class-r
-    and class-s means under the inverse scatter matrices, and
-    ``log_det_scatter_*`` the log-determinants of those scatters; arrays
-    broadcast.  Deleting a point from class r downdates its scatter by a
-    rank-one term with this pivot.  The discriminant is oriented as
-    log(pi_1/pi_2) + ..., so it is >= 0 where the refitted rule says class 1.
-    A class of d + 1 points gives no usable discriminant, and no warning.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = nr / (nr - 1.0)
-        pivot = 1.0 - c * h_r
-        # Deleted-class pieces after the rank-one downdate.
-        q_r = c * c * (nr - 2.0) * h_r / pivot
-        log_det_r = log_det_scatter_r + np.log(pivot) - d * np.log(nr - 2.0)
-        q_s = (ns - 1.0) * h_s
-        log_det_s = log_det_scatter_s - d * np.log(ns - 1.0)
-        delta = np.log((nr - 1.0) / ns) + 0.5 * (log_det_s - log_det_r) + 0.5 * (q_s - q_r)
-    return pivot, delta if r == 1 else -delta
-
-
 # ---------------------------------------------------------------------------
 # Stacked scoring: one candidate per leading index of a (B, n, d) stack of
-# images of the same n training points.  qda_loo_labels runs the qda scorer
-# on one (n, d) image.
+# images of the same n training points.  Each scorer returns the (delta,
+# pivot) of each image's own fit at its training points, as
+# _qda_discriminants does; qda_loo_labels runs that on one (n, d) image.
 
 # A stacked covariance whose Cholesky pivot keeps at most this fraction of
 # its diagonal entry is too close to collinear to score in the stack.
@@ -367,45 +345,59 @@ def _stack_inverse_cholesky(cov, collinear_tol):
 def _lda_stack_discriminants(Zs, y):
     """(B, n) discriminants of each image's own fit_lda at its training points.
 
-    Needs n >= d + 2 and both classes; raises LinAlgError as
-    _stack_inverse_cholesky does.
+    Refuses what fit_lda refuses; raises LinAlgError as
+    _stack_inverse_cholesky does.  Deletes no point, so its pivot is 1.
     """
-    n = Zs.shape[-2]
+    n, d = Zs.shape[-2:]
+    _check_lda_size(n, d)
     (n1, mu1, S1), (n2, mu2, S2) = _class_moments(Zs, y)
     inv, _ = _stack_inverse_cholesky((S1 + S2) / (n - 2), _STACK_COLLINEAR_TOL)
     direction = np.swapaxes(inv, -1, -2) @ (inv @ (mu1 - mu2)[..., None])
     mid = (mu1 + mu2) / 2.0
-    return np.log(n1 / n2) + ((Zs - mid[..., None, :]) @ direction)[..., 0]
+    return np.log(n1 / n2) + ((Zs - mid[..., None, :]) @ direction)[..., 0], 1.0
 
 
-def _qda_loo_discriminants(Zs, y, collinear_tol=_STACK_COLLINEAR_TOL):
-    """Leave-one-out QDA discriminants and downdate pivots of each point.
+def _qda_discriminants(Zs, y, drop, collinear_tol=_STACK_COLLINEAR_TOL):
+    """QDA discriminant of each point under the fit that leaves ``drop`` copies of it out.
 
     ``Zs`` is one (n, d) image or a (B, n, d) stack; returns (delta, pivot),
-    each of shape Zs.shape[:-1].  Refuses a class of under d + 1 points as
-    fit_qda does; a class of exactly d + 1 gives no usable delta for its
-    points.  Raises LinAlgError as _stack_inverse_cholesky does.  A pivot
+    each of shape Zs.shape[:-1], and delta >= 0 where that fit says class 1.
+    drop 0 is resubstitution: the pivot is 1 and delta the plain fit_qda
+    discriminant.  drop 1 is leave-one-out: deleting a point from class r
+    downdates its scatter by a rank-one term with this pivot, and a pivot
     at or below _LOO_PIVOT_TOL marks a point whose delta cannot be trusted.
+    Refuses what fit_qda refuses; under drop 1 a class of exactly d + 1
+    points, whose refit fit_qda refuses, gets NaN delta and pivot, with no
+    warning.  Raises LinAlgError as _stack_inverse_cholesky does.
     """
     d = Zs.shape[-1]
     moments = _class_moments(Zs, y)
-    _check_qda_class_sizes(moments[0][0], moments[1][0], d)
-    sizes, h, log_det_scatter = [], [], []
+    sizes = [nr for nr, _, _ in moments]
+    _check_qda_class_sizes(*sizes, d)
+    h, log_det_scatter = [], []
     for nr, mu, scatter in moments:
         inv, log_det = _stack_inverse_cholesky(scatter / (nr - 1), collinear_tol)
         # Quadratic form of every point under the inverse scatter matrix.
         v = (Zs - mu[..., None, :]) @ np.swapaxes(inv, -1, -2)
-        sizes.append(nr)
         h.append(np.einsum("...i,...i->...", v, v) / (nr - 1))
         log_det_scatter.append((log_det + d * np.log(nr - 1.0))[..., None])
-    delta = np.empty(Zs.shape[:-1])
-    pivot = np.empty(Zs.shape[:-1])
+    delta, pivot = np.full((2, *Zs.shape[:-1]), np.nan)
     for r, s in ((0, 1), (1, 0)):
-        idx = y == r + 1
-        pivot[..., idx], delta[..., idx] = _qda_loo_downdate(
-            h[r][..., idx], h[s][..., idx], sizes[r], sizes[s], d,
-            log_det_scatter[r], log_det_scatter[s], r + 1,
-        )
+        nr, ns, idx = sizes[r], sizes[s], y == r + 1
+        try:
+            _check_qda_class_sizes(nr - drop, ns, d)
+        except InvalidDimensionError:
+            continue  # the fit without the point refuses its class: NaN marks it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = nr / (nr - drop)
+            pivot[..., idx] = piv = 1.0 - drop * c * h[r][..., idx]
+            # The class-r pieces of the fit without the point.
+            q_r = c * c * (nr - drop - 1) * h[r][..., idx] / piv
+            log_det_r = log_det_scatter[r] + np.log(piv) - d * np.log(nr - drop - 1)
+            q_s = (ns - 1.0) * h[s][..., idx]
+            log_det_s = log_det_scatter[s] - d * np.log(ns - 1.0)
+            dr = np.log((nr - drop) / ns) + 0.5 * (log_det_s - log_det_r) + 0.5 * (q_s - q_r)
+        delta[..., idx] = dr if r == 0 else -dr
     return delta, pivot
 
 

@@ -17,15 +17,15 @@ p // d candidates, so a product may span blocks but is never wider than X.
 The winners at prediction time are projected the same way.  Each block is
 still scored and selected on its own.
 
-Blocks of lda candidates under resubstitution and qda candidates under
-leave-one-out are scored as a stack: batched class moments, one batched
-Cholesky factorisation and the discriminants (for qda, the rank-one
-leave-one-out downdate that qda_loo_labels runs on one image) give only
+Blocks of lda and qda candidates under resubstitution and of qda
+candidates under leave-one-out are scored as a stack: batched class
+moments, one batched Cholesky factorisation and the discriminants (for
+qda, the one formula that qda_loo_labels runs on one image) give only
 integer error counts.  The first minimum is then re-scored alone on the
 scalar path, so the winner's model, votes and saved bytes are what one fit
 per candidate gives.  A block takes the scalar loop, one fit per
 candidate, for every other pairing, when the base fit would refuse the
-data or a qda class has fewer than d + 2 points, when a stacked Cholesky
+data or a leave-one-out class has d + 1 points, when a stacked Cholesky
 factor fails or is nearly collinear, when a qda downdate pivot is at or
 below its tolerance, when a discriminant lies within rounding of 0, and
 when the winner re-scores to another count.
@@ -210,30 +210,34 @@ def _class1_votes(projections, base_models, X) -> np.ndarray:
     return votes
 
 
+# The stacked scorer of each (base, estimator) pairing that has one.
+_STACKED_SCORERS = {
+    ("lda", "resubstitution"): bc._lda_stack_discriminants,
+    ("qda", "resubstitution"): lambda Zs, y: bc._qda_discriminants(Zs, y, drop=0),
+    ("qda", "leave_one_out"): lambda Zs, y: bc._qda_discriminants(Zs, y, drop=1),
+}
+
+
 def _stacked_counts(images, y, kind, estimator):
     """Every candidate's error count from one pass over the stacked images.
 
     Returns None, to send the block down the scalar loop, in the cases the
     module docstring lists except the winner's re-score, which _select
-    checks.
+    checks.  A scorer refuses, through its base fit's own checks, the data
+    that fit refuses.
     """
-    n, d = images[0].shape
+    scorer = _STACKED_SCORERS.get((kind, estimator))
+    if scorer is None:
+        return None
     y = np.asarray(y, dtype=np.int64)  # as _estimate_full reads it
-    n1, n2 = int(np.sum(y == 1)), int(np.sum(y == 2))
     try:
-        if (kind, estimator) == ("lda", "resubstitution") and n >= d + 2 and min(n1, n2) >= 1:
-            delta = bc._lda_stack_discriminants(np.stack(images), y)
-        elif (kind, estimator) == ("qda", "leave_one_out") and min(n1, n2) >= d + 2:
-            delta, pivot = bc._qda_loo_discriminants(np.stack(images), y)
-            if (pivot <= bc._LOO_PIVOT_TOL).any():
-                return None
-        else:
-            return None
-    except np.linalg.LinAlgError:
+        delta, pivot = scorer(np.stack(images), y)
+    except (np.linalg.LinAlgError, *bc._REFIT_ERRORS):
         return None
     size = np.abs(delta)
-    # Written as "not >" so that a NaN discriminant sends the block back too.
-    if not (size > _MARGIN * (1.0 + size.max(axis=-1, keepdims=True))).all():
+    margin = _MARGIN * (1.0 + size.max(axis=-1, keepdims=True))
+    # Written as "not >" so that a NaN pivot or discriminant sends the block back too.
+    if not ((pivot > bc._LOO_PIVOT_TOL) & (size > margin)).all():
         return None
     return np.sum((delta >= 0.0) != (y == 1), axis=-1)
 

@@ -150,7 +150,7 @@ def _draw_split(spec: ExperimentSpec, pool, rep: int):
     X, y = pool
     n = y.shape[0]
     n_test = (n - spec.n_train) if spec.n_test is None else spec.n_test
-    if spec.n_train + n_test > n:
+    if spec.n_train + n_test > n or n_test < 1:
         raise ValueError(
             f"pool of {n} rows cannot supply {spec.n_train} train + {n_test} test points"
         )

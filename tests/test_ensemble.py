@@ -269,14 +269,15 @@ def _block_outputs(blk):
 class TestStackedScorer:
     """Blocks are scored as a stack of counts; the scalar loop is their oracle."""
 
-    @pytest.mark.parametrize("base", ["lda", "qda"])
+    @pytest.mark.parametrize("base, estimator", sorted(en._STACKED_SCORERS))
     @pytest.mark.parametrize("model_id", [1, 2, 3, 4])
-    def test_counts_and_fit_equal_the_scalar_loop(self, monkeypatch, model_id, base):
+    def test_counts_and_fit_equal_the_scalar_loop(self, monkeypatch, model_id, base, estimator):
         seen = _spy_stacked_counts(monkeypatch)
         for n, d in itertools.product((30, 50, 200), (2, 5)):
             s = datagen.sample(datagen.ModelSpec(model_id=model_id, p=50), n,
                                rng.make_rng(77, model_id, n))
-            cfg = en.EnsembleConfig(B1=2, B2=50, d=d, base=base, master_seed=100 * n + d)
+            cfg = en.EnsembleConfig(B1=2, B2=50, d=d, base=base, estimator=estimator,
+                                    master_seed=100 * n + d)
             seen.clear()
             stacked = serialize.dumps(en.fit(s.X, s.y, cfg))
             assert len(seen) == cfg.B1 and all(c is not None for c in seen), (n, d)
@@ -324,7 +325,7 @@ class TestStackedScorer:
         Z2 = np.random.default_rng(3).normal(size=(6, 2)) + [3.0, 0.0]
         Z = np.vstack([Z1, Z2])
         y = np.array([1] * 5 + [2] * 6)
-        _, pivot = bc._qda_loo_discriminants(Z[None], y)
+        _, pivot = bc._qda_discriminants(Z[None], y, drop=1)
         assert np.flatnonzero(pivot[0] <= bc._LOO_PIVOT_TOL).tolist() == [4]
         block = [
             projections.Projection(entries=np.array([[0.6, 0.8], [-0.8, 0.6]])),
@@ -398,7 +399,7 @@ class TestStackedScorer:
         monkeypatch.setattr(en, "_stacked_counts", lambda *args: np.zeros(cfg.B2, dtype=np.int64))
         assert serialize.dumps(en.fit(X, y, cfg)) == serialize.dumps(ref)
 
-    @pytest.mark.parametrize("base, estimator", [("lda", "resubstitution"), ("qda", "leave_one_out")])
+    @pytest.mark.parametrize("base, estimator", sorted(en._STACKED_SCORERS))
     @pytest.mark.parametrize("labels", [
         lambda y: np.where(y == 2, 3, 1), lambda y: y == 1, lambda y: y[:-1], lambda y: y[:, None],
     ], ids=["label_3", "boolean", "too_few", "column"])
@@ -416,10 +417,11 @@ class TestStackedScorer:
         assert run() == _scalar_reference(monkeypatch, run)
 
     @pytest.mark.parametrize("base, estimator", [
-        ("lda", "leave_one_out"), ("qda", "resubstitution"), ("knn", "leave_one_out"),
+        ("lda", "leave_one_out"), ("knn", "leave_one_out"),
         ("lda", "sample_split"), ("qda", "sample_split"),
     ])
     def test_other_pairings_take_the_scalar_loop(self, monkeypatch, base, estimator):
+        assert (base, estimator) not in en._STACKED_SCORERS
         X, y = make_blobs(12, 5, 1.0, seed=65)
         cfg = en.EnsembleConfig(B1=2, B2=3, d=2, base=base, estimator=estimator, master_seed=3)
         seen = _spy_stacked_counts(monkeypatch)
@@ -445,6 +447,29 @@ class TestStackedScorer:
         messages = [str(w.message) for w in got]
         assert messages == [str(w.message) for w in want]
         assert messages and all("leave-one-out refits failed" in msg for msg in messages)
+
+    def test_class_of_d_plus_one_points_is_unusable_only_when_left_out(self, monkeypatch):
+        # The data of the test above, where class 2 has d + 1 points.  The
+        # size rule, not the sign of a pivot that rounds to about 0, marks
+        # that class's leave-one-out discriminants unusable.
+        X, y = make_blobs(12, 5, 1.0, seed=66)
+        keep = np.flatnonzero(y == 1).tolist() + np.flatnonzero(y == 2)[:3].tolist()
+        X, y = X[keep], y[keep]
+        Zs = np.stack([X[:, [0, 1]], X[:, [2, 3]], X[:, [1, 4]]])
+        delta, pivot = bc._qda_discriminants(Zs, y, drop=1)
+        assert np.isnan(delta[:, y == 2]).all() and np.isnan(pivot[:, y == 2]).all()
+        assert np.isfinite(delta[:, y == 1]).all() and np.isfinite(pivot[:, y == 1]).all()
+        delta, pivot = bc._qda_discriminants(Zs, y, drop=0)
+        assert np.isfinite(delta).all() and (pivot == 1.0).all()
+
+        cfg = en.EnsembleConfig(B1=2, B2=3, d=2, base="qda", estimator="resubstitution",
+                                master_seed=4)
+        seen = _spy_stacked_counts(monkeypatch)
+        m = en.fit(X, y, cfg)
+        assert len(seen) == cfg.B1 and all(c is not None for c in seen)
+        ref = _scalar_reference(monkeypatch, lambda: en.fit(X, y, cfg))
+        np.testing.assert_array_equal(np.stack(seen), ref.block_error_counts)
+        assert serialize.dumps(m) == serialize.dumps(ref)
 
 
 class TestFit:

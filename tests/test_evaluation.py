@@ -251,6 +251,17 @@ class TestCsvSource:
         with pytest.raises(ValueError, match="pool"):
             ev.run(spec)
 
+    def test_pool_with_no_test_rows_rejected(self, synthetic_csv):
+        spec = ev.ExperimentSpec(
+            source=ev.CsvSource(str(synthetic_csv)),
+            n_train=60,
+            n_test=None,  # remainder of the 60-row pool: no test points
+            repetitions=1,
+            methods=(ev.MethodSpec("knn", ev.ComparatorSpec("knn", k=3)),),
+        )
+        with pytest.raises(ValueError, match="pool of 60 rows cannot supply 60 train \\+ 0 test"):
+            ev.run(spec)
+
     def test_unlabelled_file_refused(self, tmp_path, synthetic_csv):
         lines = synthetic_csv.read_text(encoding="utf-8").splitlines(True)
         unlabelled = tmp_path / "x.csv"
