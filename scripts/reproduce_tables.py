@@ -14,8 +14,9 @@ B1 = B2 = 100 protocol the reference tables use; budget hours for it.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rpens import datagen as dg
 from rpens import ensemble as en

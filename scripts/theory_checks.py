@@ -13,8 +13,9 @@ Both checks print their verdicts; run with --help for the knobs.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rpens import datagen as dg
 from rpens import ensemble as en

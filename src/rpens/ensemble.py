@@ -242,13 +242,21 @@ def _stacked_counts(images, y, kind, estimator):
     return np.sum((delta >= 0.0) != (y == 1), axis=-1)
 
 
+def _first_minimum(counts):
+    """Index of the first smallest count >= 0 of a 1-d array; None when all are -1 (failed)."""
+    counts = counts.tolist()
+    scored = [i for i, count in enumerate(counts) if count >= 0]
+    return min(scored, key=counts.__getitem__) if scored else None
+
+
 def _select(images, y, candidates, estimator, point_ids=None) -> _BlockResult:
-    """Fit the (projection, BaseSpec) candidates and keep the first strict minimum.
+    """Fit the (projection, BaseSpec) candidates and keep the first minimum.
 
     ``images[i]`` is candidate i's image of the training points.  Every
-    candidate's error count is recorded, -1 where it failed to fit.
-    The winner's per-point labels are its leave-one-out or in-sample
-    predictions, the votes it casts on the training data.
+    candidate's error count is recorded, -1 where it failed to fit, and
+    _first_minimum picks the winner, so ties go to the smallest index.  Its
+    per-point labels are its leave-one-out or in-sample predictions, the
+    votes it casts on the training data.
 
     The block is first scored as a stack of counts, and only its first
     minimum is re-scored through _estimate_full (see the module docstring).
@@ -256,30 +264,28 @@ def _select(images, y, candidates, estimator, point_ids=None) -> _BlockResult:
     candidates = list(candidates)
     counts = _stacked_counts(images, y, candidates[0][1].kind, estimator)
     if counts is not None:
-        idx = int(np.argmin(counts))
+        idx = _first_minimum(counts)
         est, model, labels = ee._estimate_full(images[idx], y, candidates[idx][1], estimator)
         if est.errors == counts[idx]:
             return _BlockResult(idx, candidates[idx][0], model, est, labels, counts)
     # Every fallback from the stack arrives here.
     counts = np.full(len(candidates), -1, dtype=np.int64)
-    best = None
-    for idx, ((proj, spec), Z) in enumerate(zip(candidates, images)):
+    fits = {}
+    for idx, ((_, spec), Z) in enumerate(zip(candidates, images)):
         try:
-            est, model, labels = ee._estimate_full(Z, y, spec, estimator, point_ids=point_ids)
+            fits[idx] = ee._estimate_full(Z, y, spec, estimator, point_ids=point_ids)
         except _CANDIDATE_ERRORS:
             continue
-        counts[idx] = est.errors
-        # Strict < keeps the smallest index on ties.
-        if best is None or est.errors < best[3].errors:
-            best = (idx, proj, model, est, labels, Z)
-    if best is None:
+        counts[idx] = fits[idx][0].errors
+    idx = _first_minimum(counts)
+    if idx is None:
         raise BlockFailureError(f"all {len(candidates)} candidate projections failed")
-    idx, proj, model, est, labels, Z = best
+    est, model, labels = fits[idx]
     if labels is None:
         # sample_split trains on the first half only; in-sample votes still
         # come from the model actually deployed.
-        labels = model.predict_many(Z)
-    return _BlockResult(idx, proj, model, est, labels, counts)
+        labels = model.predict_many(images[idx])
+    return _BlockResult(idx, candidates[idx][0], model, est, labels, counts)
 
 
 def _run_blocks(cfg, X, y, b1s, key_head=()) -> list:
@@ -436,13 +442,13 @@ def _vote_table(counts, labels, b1):
 def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
     """Data-driven voting threshold.
 
-    Minimizes the prior-weighted empirical error of thresholding the
-    training votes, exactly (Fraction arithmetic), and returns the midpoint
-    of the smallest and largest minimizers.  When the minimizing region is
-    disconnected and the global midpoint falls in a gap, the midpoint snaps
-    to the nearest minimizing piece so the returned threshold always
-    attains the minimum.  Exact 0 or 1 is nudged inward to 1/(2*B1) and
-    1 - 1/(2*B1).
+    Minimizes the empirical error of thresholding the training votes,
+    weighted by ``priors`` when they are given and compared exactly as an
+    integer, and returns the midpoint of the smallest and largest
+    minimizers.  When the minimizing region is disconnected and the global
+    midpoint falls in a gap, the midpoint snaps to the nearest minimizing
+    piece so the returned threshold always attains the minimum.  Exact 0 or
+    1 is nudged inward to 1/(2*B1) and 1 - 1/(2*B1).
 
     ``priors`` defaults to the empirical class proportions of ``labels``;
     an explicit class-1 prior must lie in (0, 1).
@@ -468,50 +474,29 @@ def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
             stacklevel=2,
         )
         return Fraction(1, 2)
-    if priors is None:
-        pi_1 = Fraction(n1, n1 + n2)
-    else:
-        pi_1 = Fraction(priors[0])
-    pi_2 = 1 - pi_1
+    pi_1 = Fraction(n1, n1 + n2) if priors is None else Fraction(priors[0])
 
     # The objective O(t) = pi_1 * G1(t) + pi_2 * (1 - G2(t)), with G_r(t)
     # the fraction of class-r votes strictly below t, is a left-continuous
     # step function: constant on [0, v(1)], on each (v(j), v(j+1)] between
-    # sorted distinct vote fractions, and on (v(K), 1] when v(K) < 1.
-    knots = [Fraction(int(c), b1) for c in distinct]
-    lows = [Fraction(0)] + knots[:-1]
-    values = [
-        pi_1 * Fraction(int(a), n1) + pi_2 * (1 - Fraction(int(b), n2))
-        for a, b in zip(below1, below2)
-    ]
-    pieces = list(zip(lows, knots, values))
-    if knots[-1] < 1:
-        pieces.append((knots[-1], Fraction(1), pi_1))
-    best = min(value for _, _, value in pieces)
-    argmin = [(lo, hi) for lo, hi, value in pieces if value == best]
-    global_mid = (argmin[0][0] + argmin[-1][1]) / 2
-
-    def contains(piece, t):
-        lo, hi = piece
-        if lo == hi:
-            return t == lo
-        return lo < t <= hi
-
-    if any(contains(piece, global_mid) for piece in argmin):
-        mid = global_mid
-    else:
+    # sorted distinct vote counts, and on (v(K), B1] when v(K) < B1.  Times
+    # n1 * n2 * den(pi_1) it is the integer w1 * below1 + w2 * (n2 - below2).
+    w1 = pi_1.numerator * n2
+    w2 = (pi_1.denominator - pi_1.numerator) * n1
+    highs = distinct.tolist()
+    scores = [w1 * a + w2 * (n2 - b) for a, b in zip(below1.tolist(), below2.tolist())]
+    pieces = list(zip([0] + highs[:-1], highs, scores))
+    if highs[-1] < b1:
+        pieces.append((highs[-1], b1, w1 * n1))
+    best = min(score for _, _, score in pieces)
+    argmin = [(lo, hi) for lo, hi, score in pieces if score == best]
+    # Thresholds from here on are in half votes: mid stands for t = mid / (2 * B1).
+    mid = argmin[0][0] + argmin[-1][1]
+    if not any(2 * lo < mid <= 2 * hi or mid == 2 * lo == 2 * hi for lo, hi in argmin):
         # Disconnected minimizing region: keep optimality by snapping to
         # the piece whose own midpoint is closest to the global midpoint.
-        mid = min(
-            ((lo + hi) / 2 for lo, hi in argmin),
-            key=lambda m: (abs(m - global_mid), m),
-        )
-
-    if mid <= 0:
-        return Fraction(1, 2 * b1)
-    if mid >= 1:
-        return 1 - Fraction(1, 2 * b1)
-    return mid
+        mid = min((lo + hi for lo, hi in argmin), key=lambda m: (abs(m - mid), m))
+    return Fraction(min(max(mid, 1), 2 * b1 - 1), 2 * b1)
 
 
 def g_curves(model: EnsembleModel):
@@ -532,7 +517,8 @@ def select_d(X, y, candidate_ds, cfg: EnsembleConfig) -> int:
     """Pick the projected dimension with the smallest mean winner estimate.
 
     Each candidate d gets its own B1 x B2 selection pass drawn from seed
-    streams keyed by (d, b1, b2); ties resolve to the smallest d.
+    streams keyed by (d, b1, b2).  The first minimum wins: equal totals go
+    to the smallest d.
     """
     chosen, _ = select_d_profile(X, y, candidate_ds, cfg)
     return chosen
@@ -546,18 +532,11 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig):
         raise ValueError("candidate dimension set is empty")
     X, y = _training_data(X, y, candidates)
     profile = {}
-    best_d = None
-    best_total = None
     for d in candidates:
         cfg_d = replace(cfg, d=d)
-        winner_counts = np.array(
+        profile[d] = np.array(
             [blk.error_count for blk in _run_blocks(cfg_d, X, y, range(cfg.B1), key_head=(d,))],
             dtype=np.int64,
         )
-        profile[d] = winner_counts
-        total = int(winner_counts.sum())
-        # Candidates ascend, so strict < keeps the smallest d on ties.
-        if best_total is None or total < best_total:
-            best_total = total
-            best_d = d
-    return best_d, profile
+    # min keeps the first of equal totals, and the candidates ascend.
+    return min(candidates, key=lambda d: int(profile[d].sum())), profile

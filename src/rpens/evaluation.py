@@ -125,21 +125,16 @@ class ExperimentResult:
 def comparator_knn_cv(Z, y, tie_seed: int = 0) -> int:
     """Neighbour count minimizing leave-one-out error, odd k up to 25.
 
-    The grid is {1, 3, ..., min(25, n-1)}; ties resolve to the smallest k.
+    The grid is {1, 3, ..., min(25, n-1)}; the first minimum wins, so ties
+    resolve to the smallest k.
     """
+    Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y)
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least two points to cross-validate k")
-    best_k = None
-    best_err = None
-    for k in range(1, min(25, n - 1) + 1, 2):
-        labels = bc.knn_loo_labels(np.asarray(Z, dtype=np.float64), y, k, tie_seed=tie_seed)
-        err = int(np.sum(labels != y))
-        if best_err is None or err < best_err:
-            best_err = err
-            best_k = k
-    return best_k
+    grid = range(1, min(25, n - 1) + 1, 2)
+    return min(grid, key=lambda k: np.sum(bc.knn_loo_labels(Z, y, k, tie_seed=tie_seed) != y))
 
 
 def _draw_split(spec: ExperimentSpec, pool, rep: int):
@@ -389,7 +384,8 @@ def theorem2_bound_diagnostic(
     # P(wrong | x) is 1 - eta where a classifier says 1 and eta where it
     # says 2; the Bayes rule attains min(eta, 1 - eta).
     bayes_pt = np.minimum(eta, 1.0 - eta)
-    winner_wrong_mean = np.where(votes, 1.0 - eta, eta).mean(axis=0)
+    winner_wrong = np.where(votes, 1.0 - eta, eta)
+    winner_wrong_mean = winner_wrong.mean(axis=0)
 
     ens_labels = en._counts_to_labels(votes.sum(axis=0), Fraction(alpha), n_winners)
     ens_wrong = np.where(ens_labels == 1, 1.0 - eta, eta)
@@ -407,5 +403,5 @@ def theorem2_bound_diagnostic(
         holds=bool(lhs <= rhs + 3.0 * margin_se),
         bayes_risk=float(bayes_pt.mean()),
         ensemble_risk=float(ens_wrong.mean()),
-        mean_winner_risk=float(np.where(votes, 1.0 - eta, eta).mean()),
+        mean_winner_risk=float(winner_wrong.mean()),
     )

@@ -29,7 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .base_classifiers import KnnModel, LdaModel, QdaModel
-from .ensemble import EnsembleConfig, EnsembleModel
+from .ensemble import EnsembleConfig, EnsembleModel, _first_minimum
 from .error_estimation import evaluation_count
 from .errors import DataFormatError, RpensError
 from .projections import Projection
@@ -244,9 +244,7 @@ def model_from_dict(obj: dict) -> EnsembleModel:
     _check_array(error_counts, _I, (cfg.B1, cfg.B2), "block_error_counts", -1, block_m)
     if block_m != evaluation_count(cfg.estimator_name, n):
         raise DataFormatError(f"block_m {block_m} is not {cfg.estimator_name}'s count for n={n}")
-    # A fit keeps each block's first minimum over its scored (>= 0) counts.
-    scored = np.where(error_counts >= 0, error_counts, block_m + 1)
-    if (scored.argmin(axis=1) != winner_indices).any() or (scored.min(axis=1) > block_m).any():
+    if [_first_minimum(row) for row in error_counts] != winner_indices:
         raise DataFormatError("each winner index must be its block's first minimum error count")
     return EnsembleModel(
         config=cfg,

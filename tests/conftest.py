@@ -148,15 +148,27 @@ def _set_base_array(key, a):
     return _edit(lambda o: o["base_models"][0].update({key: _array_record(a)}))
 
 
+def _decoded(record):
+    a = np.frombuffer(base64.b64decode(record["data"]), dtype=record["dtype"])
+    return a.reshape(record["shape"])
+
+
 def _negate_base_arrays(key):
     """Damage that negates the array ``key`` of every base model."""
 
     def change(o):
         for record in o["base_models"]:
-            a = np.frombuffer(base64.b64decode(record[key]["data"]), dtype=record[key]["dtype"])
-            record[key] = _array_record(-a.reshape(record[key]["shape"]))
+            record[key] = _array_record(-_decoded(record[key]))
 
     return _edit(change)
+
+
+def _fail_every_candidate_of_block_0(o):
+    """Mark block 0's candidates failed (-1) and leave its winner index at 0."""
+    counts = _decoded(o["block_error_counts"]).copy()
+    counts[0] = -1
+    o["block_error_counts"] = _array_record(counts)
+    o["winner_indices"][0] = 0
 
 
 # Ways to damage the text of a saved lda model (d=2, p=5, B1 >= 2), each of
@@ -223,6 +235,8 @@ DAMAGED_MODELS = {
     "winner_not_first_minimum": _edit(lambda o: o.update(
         winner_indices=[(w + 1) % o["config"]["B2"] for w in o["winner_indices"]]
     )),
+    # No fit writes a block with no scored candidate: it raises instead.
+    "every_candidate_failed": _edit(_fail_every_candidate_of_block_0),
     # json.loads accepts the NaN and Infinity literals that json.dumps writes.
     "nan_prior": _edit(lambda o: o["base_models"][0].update(pi_hat_1=float("nan"))),
     "infinite_prior": _edit(lambda o: o["base_models"][1].update(pi_hat_2=float("inf"))),

@@ -703,11 +703,14 @@ class TestEstimateAlpha:
         # The threshold is built from one vote-count table; the reference
         # below scans sorted Fraction votes piece by piece.  Both must agree
         # exactly on random, three-valued, separated and anti-learning
-        # votes, with empirical and explicit priors.
+        # votes, with empirical and explicit priors.  The last 20 trials take
+        # B1 = 100, n = 1,000 and float priors, whose numerators of about 52
+        # bits put the weighted objective past 2**63.
         gen = np.random.default_rng(2017)
-        for trial in range(5000):
-            b1 = int(gen.integers(1, 30))
-            n = int(gen.integers(2, 40))
+        for trial in range(5020):
+            large = trial >= 5000
+            b1 = 100 if large else int(gen.integers(1, 30))
+            n = 1000 if large else int(gen.integers(2, 40))
             labels = gen.integers(1, 3, size=n)
             labels[:2] = [1, 2]
             shape = trial % 4
@@ -723,9 +726,9 @@ class TestEstimateAlpha:
                 class1_high = shape == 2
                 counts = np.where((labels == 1) == class1_high, high, low)
             priors = None
-            if trial % 3 == 1:
+            if trial % 3 == 1 and not large:
                 priors = (Fraction(int(gen.integers(1, 40)), 40),)
-            elif trial % 3 == 2:
+            elif trial % 3 == 2 or large:
                 priors = (float(gen.uniform(0.01, 0.99)),)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
