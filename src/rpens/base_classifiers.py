@@ -7,7 +7,9 @@ k-nearest-neighbour vote. All fitting is deterministic; the only
 randomness is the seeded stream that splits exact distance ties in the
 nearest-neighbour classifier. QDA has one discriminant formula for both
 error estimators, _qda_discriminants: the ensemble runs it on a stack of
-images and qda_loo_labels on one.
+images and qda_loo_labels on one.  lda and qda predict through a cheaper
+form of their discriminant; a row within rounding of the boundary, by a
+bound _MARGIN scales, takes the exact form, so no label depends on which.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ __all__ = [
 ]
 
 RIDGE_EPS = 1e-8
+
+# A discriminant within this fraction of the size of its terms is too
+# close to 0 for a cheaper form, or for a stacked score, to vouch for the
+# sign that the exact form gives.
+_MARGIN = 1e-9
 
 BASE_KINDS = ("lda", "qda", "knn")
 
@@ -169,18 +176,60 @@ def fit_lda(Z, y) -> LdaModel:
     )
 
 
-def _lda_discriminant(model, Z):
-    direction = model.omega_hat @ (model.mu_hat_1 - model.mu_hat_2)
+def _lda_affine(model):
+    """The fitted rule as an affine function: class 1 where x @ w + c >= 0.
+
+    Returns (w, mid, log_ratio, c): w = omega (mu_1 - mu_2), mid = (mu_1 +
+    mu_2) / 2, log_ratio = log(pi_1 / pi_2) and c = log_ratio - mid @ w.
+    """
+    w = model.omega_hat @ (model.mu_hat_1 - model.mu_hat_2)
     mid = (model.mu_hat_1 + model.mu_hat_2) / 2.0
-    return np.log(model.pi_hat_1 / model.pi_hat_2) + (Z - mid) @ direction
+    log_ratio = np.log(model.pi_hat_1 / model.pi_hat_2)
+    return w, mid, log_ratio, log_ratio - mid @ w
+
+
+def _norms(a):
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", a, a))
+
+
+def _near_lda_boundary(f, x_norm, w, mid, log_ratio):
+    """Where an affine discriminant f lies within rounding of 0, or is NaN.
+
+    By Cauchy-Schwarz the rounding of both x @ w + c and log_ratio +
+    (x - mid) @ w stays far below _MARGIN * (|log_ratio| + (||x|| + ||mid||)
+    * ||w||), so where |f| exceeds that, both forms give one sign.  It holds
+    too for a rule read through a projection A with orthonormal rows, with
+    ||x|| for ||A x||: ||A x|| <= ||x|| and ||A.T w|| = ||w||.  Rules stack
+    along the last axis of f, w, mid and log_ratio.
+    """
+    w_norm = _norms(w)
+    bound = _MARGIN * (np.abs(log_ratio) + _norms(mid) * w_norm) + (_MARGIN * w_norm) * x_norm
+    return ~(np.abs(f) > bound)
+
+
+def _lda_discriminant(model, Z):
+    """The exact form, log_ratio + (Z - mid) @ w; it makes an (n, d) temporary."""
+    w, mid, log_ratio, _ = _lda_affine(model)
+    return log_ratio + (Z - mid) @ w
 
 
 def predict_lda_many(model, Z):
-    """Labels for an (n, d) array; discriminant ties go to class 1."""
+    """Labels for an (n, d) array; discriminant ties go to class 1.
+
+    Evaluates the affine form Z @ w + c, which needs no (n, d) temporary;
+    a row within rounding of the boundary takes _lda_discriminant, so every
+    label is the one that form gives.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.d:
         raise ShapeMismatchError(f"expected points with {model.d} features")
-    return np.where(_lda_discriminant(model, Z) >= 0.0, 1, 2).astype(np.int64)
+    w, mid, log_ratio, c = _lda_affine(model)
+    f = Z @ w + c
+    near = _near_lda_boundary(f, _norms(Z), w, mid, log_ratio)
+    if near.any():
+        f[near] = _lda_discriminant(model, Z[near])
+    return np.where(f >= 0.0, 1, 2).astype(np.int64)
 
 
 def lda_closed_form_test_error(model, pi_1, mu_1, mu_2, sigma) -> float:
@@ -195,16 +244,16 @@ def lda_closed_form_test_error(model, pi_1, mu_1, mu_2, sigma) -> float:
     mu_2 = np.asarray(mu_2, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     pi_2 = 1.0 - pi_1
-    delta = model.mu_hat_2 - model.mu_hat_1
-    mid = (model.mu_hat_1 + model.mu_hat_2) / 2.0
-    w = model.omega_hat @ delta
-    scale = float(np.sqrt(w @ sigma @ w))
+    w, mid, _, _ = _lda_affine(model)
+    # Not -log(pi_1 / pi_2), which differs from this in the last bit for
+    # about 40% of class sizes.
     log_ratio_21 = np.log(model.pi_hat_2 / model.pi_hat_1)
+    scale = float(np.sqrt(w @ sigma @ w))
     if scale == 0.0:
         # Constant discriminant: everything lands in one class.
         return pi_2 if -log_ratio_21 >= 0.0 else pi_1
-    a1 = (log_ratio_21 - w @ (mid - mu_1)) / scale
-    a2 = (-log_ratio_21 + w @ (mid - mu_2)) / scale
+    a1 = (log_ratio_21 + w @ (mid - mu_1)) / scale
+    a2 = (-log_ratio_21 - w @ (mid - mu_2)) / scale
     return float(pi_1 * ndtr(a1) + pi_2 * ndtr(a2))
 
 
@@ -262,24 +311,49 @@ def fit_qda(Z, y) -> QdaModel:
     )
 
 
-def _qda_discriminant(model, Z):
+def _blas_forms(U, omega):
+    """u @ omega @ u for each row u of U, through one matrix product."""
+    return np.einsum("ij,ij->i", U @ omega, U)
+
+
+def _loop_forms(U, omega):
+    """As _blas_forms, by einsum's scalar loop: the exact form near the boundary."""
+    return np.einsum("ij,jk,ik->i", U, omega, U)
+
+
+def _qda_discriminant(model, Z, forms=_blas_forms):
+    """Discriminant of each row of Z, and a size that bounds its rounding.
+
+    By Cauchy-Schwarz either form of u @ omega @ u rounds within about
+    d^2 * eps * ||omega||_F ||u||^2, far less than _MARGIN times that, so
+    where |discriminant| exceeds _MARGIN * size, _blas_forms and _loop_forms
+    give one sign.
+    """
     u1 = Z - model.mu_hat_1
     u2 = Z - model.mu_hat_2
-    q1 = np.einsum("ij,jk,ik->i", u1, model.omega_hat_1, u1)
-    q2 = np.einsum("ij,jk,ik->i", u2, model.omega_hat_2, u2)
-    return (
-        np.log(model.pi_hat_1 / model.pi_hat_2)
-        + 0.5 * (model.log_det_2 - model.log_det_1)
-        + 0.5 * (q2 - q1)
+    const = np.log(model.pi_hat_1 / model.pi_hat_2) + 0.5 * (model.log_det_2 - model.log_det_1)
+    delta = const + 0.5 * (forms(u2, model.omega_hat_2) - forms(u1, model.omega_hat_1))
+    size = abs(const) + 0.5 * (
+        np.linalg.norm(model.omega_hat_1) * np.einsum("ij,ij->i", u1, u1)
+        + np.linalg.norm(model.omega_hat_2) * np.einsum("ij,ij->i", u2, u2)
     )
+    return delta, size
 
 
 def predict_qda_many(model, Z):
-    """Labels for an (n, d) array; discriminant ties go to class 1."""
+    """Labels for an (n, d) array; discriminant ties go to class 1.
+
+    A row within rounding of the boundary takes _loop_forms, so every label
+    is the one that form gives.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.d:
         raise ShapeMismatchError(f"expected points with {model.d} features")
-    return np.where(_qda_discriminant(model, Z) >= 0.0, 1, 2).astype(np.int64)
+    delta, size = _qda_discriminant(model, Z)
+    near = ~(np.abs(delta) > _MARGIN * size)
+    if near.any():
+        delta[near] = _qda_discriminant(model, Z[near], _loop_forms)[0]
+    return np.where(delta >= 0.0, 1, 2).astype(np.int64)
 
 
 _LOO_PIVOT_TOL = 1e-12

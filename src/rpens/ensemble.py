@@ -14,8 +14,10 @@ in waves of max(1, (p // d) // B2) whole blocks: each Haar candidate draws
 its own Gaussian, a wave shares one stacked QR call, and its images come
 from one product of X with the stacked matrices of each group of at most
 p // d candidates, so a product may span blocks but is never wider than X.
-The winners at prediction time are projected the same way.  Each block is
-still scored and selected on its own.
+Each block is still scored and selected on its own.  At prediction time
+qda and knn winners project the test points the same way; an lda winner's
+rule is affine in x, so it folds to one p-vector and all lda winners vote
+through one product, except on a row within rounding of a boundary.
 
 Blocks of lda and qda candidates under resubstitution and of qda
 candidates under leave-one-out are scored as a stack: batched class
@@ -74,15 +76,11 @@ _TAG_TIEBREAK = 1
 # defect shared by every candidate and propagates immediately.
 _CANDIDATE_ERRORS = (SingularCovarianceError, EstimationFailureError)
 
-# Rows of test points projected by one stacked product at prediction time.
-# At p=500 and 50 winners, 2,048-row products raised the peak RSS of a
+# Rows of test points voted on together at prediction time.  At p=500 and
+# 50 qda winners, 2,048-row stacked products raised the peak RSS of a
 # 2,000-row CLI predict by 1.7 MB; 512-row products kept it, at about the
-# same speed.
+# same speed.  lda winners hold only (chunk, B1) discriminants.
 _ROW_CHUNK = 512
-
-# A stacked discriminant within this fraction of its row's largest one
-# (plus one) is too close to 0 for the stack to vouch for its label.
-_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -196,17 +194,48 @@ def _projected(X, projections):
         yield from pj._apply_stack(projections[start:start + size], X)
 
 
+def _lda_votes(projections, models):
+    """The (B1, chunk) class-1 votes of lda winners as a function of a chunk of rows.
+
+    Winner i's rule (bc._lda_affine) read through its projection A is
+    affine in x, x @ (A.T w) + c, so the chunk votes through one product
+    with the (p, B1) matrix of the folded vectors A.T w.  A row within
+    rounding of a winner's boundary (bc._near_lda_boundary with ||x||) is
+    projected and voted by that winner's predict_many, as other bases vote.
+    """
+    w, mid, log_ratio, c = (np.array(part) for part in zip(*map(bc._lda_affine, models)))
+    folded = np.stack([proj.entries.T @ wi for proj, wi in zip(projections, w)], axis=1)
+
+    def votes(rows):
+        f = rows @ folded + c
+        near = bc._near_lda_boundary(f, bc._norms(rows)[:, None], w, mid, log_ratio)
+        out = (f >= 0.0).T
+        for i in np.flatnonzero(near.any(axis=0)):
+            idx = np.flatnonzero(near[:, i])
+            Z = next(pj._apply_stack([projections[i]], rows[idx]))
+            out[i, idx] = models[i].predict_many(Z) == 1
+        return out
+
+    return votes
+
+
 def _class1_votes(projections, base_models, X) -> np.ndarray:
     """Boolean (len(projections), n) matrix: row i is winner i's class-1 votes.
 
-    Rows go through in chunks of ``_ROW_CHUNK``, so the stacked images of
-    one chunk stay small next to X.
+    Rows go through in chunks of ``_ROW_CHUNK``, so what one chunk computes
+    ((chunk, B1) discriminants for lda winners, stacked images of the
+    chunk for the others) stays small next to X.
     """
+    if all(isinstance(model, bc.LdaModel) for model in base_models):
+        chunk_votes = _lda_votes(projections, base_models)
+    else:
+        def chunk_votes(rows):
+            images = _projected(rows, projections)
+            return [model.predict_many(Z) == 1 for model, Z in zip(base_models, images)]
     votes = np.empty((len(projections), X.shape[0]), dtype=bool)
     for start in range(0, X.shape[0], _ROW_CHUNK):
         rows = X[start:start + _ROW_CHUNK]
-        for i, (model, Z) in enumerate(zip(base_models, _projected(rows, projections))):
-            votes[i, start:start + len(rows)] = model.predict_many(Z) == 1
+        votes[:, start:start + len(rows)] = chunk_votes(rows)
     return votes
 
 
@@ -235,7 +264,9 @@ def _stacked_counts(images, y, kind, estimator):
     except (np.linalg.LinAlgError, *bc._REFIT_ERRORS):
         return None
     size = np.abs(delta)
-    margin = _MARGIN * (1.0 + size.max(axis=-1, keepdims=True))
+    # Within this of 0, against the image's largest discriminant, the stack
+    # cannot vouch for a label.
+    margin = bc._MARGIN * (1.0 + size.max(axis=-1, keepdims=True))
     # Written as "not >" so that a NaN pivot or discriminant sends the block back too.
     if not ((pivot > bc._LOO_PIVOT_TOL) & (size > margin)).all():
         return None

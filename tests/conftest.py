@@ -86,6 +86,65 @@ def pooled_covariance(Z, y):
     return dev.T @ dev / (len(y) - 2)
 
 
+# Independent discriminants and boundary rows for the prediction guards.
+
+
+def lda_discriminant(model, Z):
+    """log(pi_1 / pi_2) + (z - mid) @ omega (mu_1 - mu_2) for each row z of Z."""
+    w = model.omega_hat @ (model.mu_hat_1 - model.mu_hat_2)
+    mid = (model.mu_hat_1 + model.mu_hat_2) / 2.0
+    return (Z - mid) @ w + np.log(model.pi_hat_1 / model.pi_hat_2)
+
+
+def qda_discriminant(model, Z):
+    """The qda discriminant of each row of Z, each quadratic form by einsum's scalar loop."""
+    q1, q2 = (
+        np.einsum("ij,jk,ik->i", Z - mu, omega, Z - mu)
+        for mu, omega in ((model.mu_hat_1, model.omega_hat_1), (model.mu_hat_2, model.omega_hat_2))
+    )
+    const = np.log(model.pi_hat_1 / model.pi_hat_2) + 0.5 * (model.log_det_2 - model.log_det_1)
+    return const + 0.5 * (q2 - q1)
+
+
+def boundary_points(discriminant, start, end):
+    """Rows within one rounding step of the boundary of ``discriminant``.
+
+    Bisects each segment from a row of ``start`` (discriminant >= 0) to the
+    row of ``end`` (discriminant < 0) down to two adjacent points, and
+    returns the class-1 side of even segments and the class-2 side of odd
+    ones.
+    """
+    assert (discriminant(start) >= 0.0).all() and (discriminant(end) < 0.0).all()
+    lo, hi = np.zeros(len(start)), np.ones(len(start))
+    for _ in range(64):
+        s = (lo + hi) / 2.0
+        class1 = discriminant(start + s[:, None] * (end - start)) >= 0.0
+        lo, hi = np.where(class1, s, lo), np.where(class1, hi, s)
+    side = np.where(np.arange(len(start)) % 2 == 0, lo, hi)
+    return start + side[:, None] * (end - start)
+
+
+def spy_rows(monkeypatch, name, position):
+    """Row counts of argument ``position`` in each call of base_classifiers.<name> from now on."""
+    seen = []
+    original = getattr(bc, name)
+
+    def spying(*args):
+        seen.append(len(args[position]))
+        return original(*args)
+
+    monkeypatch.setattr(bc, name, spying)
+    return seen
+
+
+# Per base: fit, independent discriminant, and the function of the exact
+# path with the position of its rows argument and its calls per predict.
+EXACT_PATHS = {
+    "lda": (bc.fit_lda, lda_discriminant, ("_lda_discriminant", 1), 1),
+    "qda": (bc.fit_qda, qda_discriminant, ("_loop_forms", 0), 2),
+}
+
+
 # Brute-force oracles for ensemble.estimate_alpha.
 
 

@@ -9,7 +9,10 @@ from rpens import base_classifiers as bc
 from rpens import error_estimation as ee
 from rpens import errors
 
-from conftest import assert_equals_explicit_qda_refits, count_loo_refits, make_blobs
+from conftest import (
+    EXACT_PATHS, assert_equals_explicit_qda_refits, boundary_points, count_loo_refits, make_blobs,
+    spy_rows,
+)
 
 
 def _lda_line(pi_1: float):
@@ -503,6 +506,32 @@ class TestKnn:
             bc.fit_knn(Z, y, k=4)
         with pytest.raises(errors.ShapeMismatchError):
             bc.fit_knn(Z, y, k=2, point_ids=np.array([0, 0, 1]))
+
+
+class TestBoundaryRows:
+    """A row within rounding of the boundary takes the exact discriminant."""
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_PATHS))
+    def test_rows_on_the_boundary_take_the_exact_path(self, monkeypatch, kind):
+        fit, discriminant, exact, calls = EXACT_PATHS[kind]
+        X, y = make_blobs(30, 4, 2.0, seed=9)
+        m = fit(X[:50], y[:50])
+        t = 0.3 * np.random.default_rng(10).normal(size=(40, 4))
+        B = boundary_points(lambda Z: discriminant(m, Z), m.mu_hat_1 + t, m.mu_hat_2 + t)
+        seen = spy_rows(monkeypatch, *exact)
+        labels = m.predict_many(np.vstack([B, X]))
+        expected = np.concatenate([discriminant(m, B), discriminant(m, X)]) >= 0.0
+        np.testing.assert_array_equal(labels, np.where(expected, 1, 2))
+        # Only the boundary rows, all of them, took the exact path.
+        assert seen == [len(B)] * calls
+        assert set(labels[: len(B)]) == {1, 2}
+
+    @pytest.mark.parametrize("kind", ["lda", "qda", "knn"])
+    def test_zero_rows(self, kind):
+        X, y = make_blobs(10, 3, 2.0, seed=5)
+        m = bc.fit_base(bc.BaseSpec(kind), X, y)
+        labels = m.predict_many(np.zeros((0, 3)))
+        assert labels.shape == (0,) and labels.dtype == np.int64
 
 
 class TestBaseSpec:

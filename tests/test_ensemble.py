@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,9 @@ from rpens import error_estimation as ee
 from rpens import datagen, errors, projections, rng, serialize
 
 from conftest import (
-    alpha_candidates, alpha_objective, assert_equals_explicit_qda_refits, count_loo_refits,
-    make_blobs, pooled_covariance, rank_deficient_sample,
+    EXACT_PATHS, alpha_candidates, alpha_objective, assert_equals_explicit_qda_refits,
+    boundary_points, count_loo_refits, make_blobs, pooled_covariance, rank_deficient_sample,
+    spy_rows,
 )
 
 
@@ -180,6 +182,12 @@ class TestStackedProjection:
         m = en.fit(X, y, cfg)
         assert groups == [3, 3, 1] * cfg.B1
         groups.clear()
+        # lda winners vote through their folded vectors: no row here is
+        # near a boundary, so nothing is projected.
+        en.votes_many(m, X)
+        assert groups == []
+        m = en.fit(X, y, replace(cfg, base="qda"))
+        groups.clear()
         en.votes_many(m, X)
         assert groups == [3, 1]
 
@@ -193,6 +201,10 @@ class TestStackedProjection:
         groups.clear()
         en.select_d_profile(X, y, [2, 3], cfg)
         assert groups == [6, 2, 4, 4]
+        groups.clear()
+        en.votes_many(m, X)
+        assert groups == []
+        m = en.fit(X, y, replace(cfg, base="qda"))
         groups.clear()
         en.votes_many(m, X)
         assert groups == [4]
@@ -650,6 +662,45 @@ class TestVotesAndPredict:
             cur = en._counts_to_labels(counts, a, 12)
             assert not np.any((prev == 2) & (cur == 1))
             prev = cur
+
+    @pytest.mark.parametrize("base", sorted(EXACT_PATHS))
+    def test_rows_on_a_winner_boundary_take_the_exact_path(self, monkeypatch, base):
+        _, discriminant, exact, calls = EXACT_PATHS[base]
+        X, y = make_blobs(20, 5, 2.0, seed=60)
+        # p // d = 1: each winner's images come from its own product, as proj.apply's do.
+        m = en.fit(X, y, en.EnsembleConfig(B1=3, B2=2, d=3, base=base, master_seed=7))
+        gen = np.random.default_rng(11)
+        for i, (proj, model) in enumerate(zip(m.projections, m.base_models)):
+            # Points x = A.T z + u, z on this winner's boundary and u orthogonal to A's rows.
+            t = 0.2 * gen.normal(size=(16, 3))
+            Z = boundary_points(
+                lambda Z: discriminant(model, Z), model.mu_hat_1 + t, model.mu_hat_2 + t
+            )
+            G = gen.normal(size=(16, 5))
+            P = Z @ proj.entries + G - (G @ proj.entries.T) @ proj.entries
+            expected = np.array([
+                discriminant(bm, pr.apply(P)) >= 0.0 for pr, bm in zip(m.projections, m.base_models)
+            ])
+            with monkeypatch.context() as patch:
+                seen = spy_rows(patch, *exact)
+                votes = en._class1_votes(m.projections, m.base_models, P)
+            np.testing.assert_array_equal(votes, expected)
+            # Only this winner's rows, all of them, took the exact path.
+            assert seen == [len(P)] * calls
+            assert set(expected[i]) == {False, True}
+            counts = expected.sum(axis=0)
+            np.testing.assert_array_equal(en.votes_many(m, P), counts)
+            np.testing.assert_array_equal(
+                en.predict_many(m, P), en._counts_to_labels(counts, m.alpha_hat, m.B1)
+            )
+
+    @pytest.mark.parametrize("base", ["lda", "qda", "knn"])
+    def test_zero_rows(self, base):
+        X, y = make_blobs(20, 5, 2.0, seed=60)
+        m = en.fit(X, y, en.EnsembleConfig(B1=3, B2=2, d=2, base=base, master_seed=7))
+        counts = en.votes_many(m, np.zeros((0, 5)))
+        assert counts.shape == (0,) and counts.dtype == np.int64
+        assert en.predict_many(m, np.zeros((0, 5))).shape == (0,)
 
     def test_dimension_mismatch(self, fitted):
         m, _, _ = fitted

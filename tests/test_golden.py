@@ -7,8 +7,10 @@ threshold.  Two more fit cases (lda and qda, d=1, B2=3) draw fewer
 candidates per block than p // d, so their blocks are sampled and
 projected in waves that cross block boundaries.  One more case pins a
 ``select_d_profile``, and one the bytes of a small ``rpens simulate
---out`` CSV written through ``cli.main``.  Four more pin the bytes of
-one seeded ``datagen.sample`` per built-in model.  A change to the
+--out`` CSV written through ``cli.main``.  Three more pin the bytes of
+``votes_many`` of a seeded lda, qda and knn ensemble on a seeded
+500-row test set.  Four more pin the bytes of one seeded
+``datagen.sample`` per built-in model.  A change to the
 fitting or sampling path that is meant to keep behaviour keeps every
 digest; a change that moves one on purpose must name the output and say
 why.
@@ -46,6 +48,8 @@ FIT_CASES = [
     for alpha in (None, 0.4)
 ]
 WAVE_BASES = ("lda", "qda")
+VOTE_BASES = ("lda", "qda", "knn")
+N_VOTE_TEST = 500
 SAMPLE_MODELS = (1, 2, 3, 4)
 
 GOLDEN = {
@@ -87,6 +91,9 @@ GOLDEN = {
     "knn-sample_split-axis_aligned-fixed_alpha": "19747c74c113ea3fe8b65cdc0c26ce2420345ad319b9fc1bf310d61cb5ba7189",
     "lda-waves": "5bcc5920979eb6b2d5b061eaed9ade57257e7d9eaca24fdbd5099ef8e6e83ba3",
     "qda-waves": "c7e75b184c9aa1c5da76d2552c58ca487981dd673ee749d42bdadf51811002c8",
+    "lda-votes": "9f27bd24294dfb5565ab3b1e56eafefe78441089b4ca45f0c345dc6bef301d34",
+    "qda-votes": "a70e56797bf1d3bf5a37254d6f7422f5fe6e4ceab9090b8e4816402badae2e11",
+    "knn-votes": "b4a2a2efb66f5387008b2a4914fbfa46fb2c36aef1d4bb4e6dea54204162007d",
     "select_d_profile": "895bdc57a0b4f9eb247d8f06a401730c14e2ae65246fcdd26015e4c60f1f2d4a",
     "simulate_out": "65d7bb71d2656e436ff92c681d1496e73a9e7fc661a2fcc9f4f16bf8642721b4",
     "sample-model1": "d578bfc9bbf290e1cb8689d9ef171ab35d071be8b7c52585729101cad946b898",
@@ -117,6 +124,14 @@ def _wave_digest(X, y, base):
     # p // d = 10 candidates per product: waves of three whole blocks.
     cfg = en.EnsembleConfig(B1=5, B2=3, d=1, base=base, master_seed=5)
     return hashlib.sha256(serialize.dumps(en.fit(X, y, cfg)).encode("ascii")).hexdigest()
+
+
+def _votes_digest(X, y, base):
+    cfg = en.EnsembleConfig(B1=6, B2=3, d=2, base=base, master_seed=5)
+    model = en.fit(X, y, cfg)
+    spec = datagen.ModelSpec(model_id=1, p=P)
+    test = datagen.sample(spec, N_VOTE_TEST, make_rng(2017, "golden-votes"))
+    return hashlib.sha256(en.votes_many(model, test.X).tobytes()).hexdigest()
 
 
 def _simulate_digest(out_dir):
@@ -158,6 +173,11 @@ def test_wave_fit_digest(sample, base):
     assert _wave_digest(*sample, base) == GOLDEN[f"{base}-waves"], f"{base} wave fit moved"
 
 
+@pytest.mark.parametrize("base", VOTE_BASES)
+def test_votes_digest(sample, base):
+    assert _votes_digest(*sample, base) == GOLDEN[f"{base}-votes"], f"{base} test-point votes moved"
+
+
 def test_select_d_profile_digest(sample):
     assert _select_d_digest(*sample) == GOLDEN["select_d_profile"], "select_d_profile moved"
 
@@ -180,6 +200,8 @@ if __name__ == "__main__":
         print(f'    "{_case_id(*case)}": "{_fit_digest(X, y, *case)}",')
     for base in WAVE_BASES:
         print(f'    "{base}-waves": "{_wave_digest(X, y, base)}",')
+    for base in VOTE_BASES:
+        print(f'    "{base}-votes": "{_votes_digest(X, y, base)}",')
     print(f'    "select_d_profile": "{_select_d_digest(X, y)}",')
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         digest = _simulate_digest(tmp)
