@@ -193,27 +193,31 @@ _CONFIG_STR_KEYS = ("base", "estimator", "projection")
 
 def _read_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key in _CONFIG_INT_KEYS:
-                    values[key] = int(value)
-                elif key in _CONFIG_FLOAT_KEYS:
-                    values[key] = float(value)
-                elif key in _CONFIG_STR_KEYS:
-                    values[key] = value
-                else:
-                    raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        try:
+            if key in _CONFIG_INT_KEYS:
+                values[key] = int(value)
+            elif key in _CONFIG_FLOAT_KEYS:
+                values[key] = float(value)
+            elif key in _CONFIG_STR_KEYS:
+                values[key] = value
+            else:
+                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return values
 
 

@@ -39,6 +39,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.special import gammaln, log_expit
@@ -303,78 +304,86 @@ def load_labelled_csv(path, *, require_label: bool = True) -> LabelledSample:
 
     Schema: UTF-8, a header row whose first column is named ``label``,
     labels in {1, 2} in the first column, and at least one feature
-    column of finite numbers with '.' as the decimal mark. Lines whose
-    first character is '#' are ignored, so files written by this package
-    read back in; a '#' anywhere else is part of a cell. Violations raise
-    DataFormatError naming the offending line.
+    column of finite numbers with '.' as the decimal mark. A leading
+    byte-order mark is ignored. Lines whose first character is '#' are
+    ignored, so files written by this package read back in; a '#'
+    anywhere else is part of a cell. Violations raise DataFormatError
+    naming the offending line.
 
     With ``require_label=False`` the ``label`` column is optional: when
     the header's first column is not ``label``, every column is a feature
     and the returned ``y`` is None.
 
-    A well-formed file is parsed by numpy's C reader. Anything else (a
-    bad label, a quote, a cell numpy refuses, a ragged or non-finite row)
-    is read again cell by cell, which raises the error naming the line
-    and column, or accepts the few cells ``float()`` takes and numpy does
-    not (such as ``1_0``) with the same result.
+    A well-formed file is streamed line by line through numpy's C reader,
+    so its text is never held whole in memory. Anything else (a bad
+    label, a quote, a cell numpy refuses, a ragged or non-finite row) is
+    read again cell by cell, which raises the error naming the line and
+    column, or accepts the few cells ``float()`` takes and numpy does not
+    (such as ``1_0``) with the same result.
     """
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataFormatError(f"cannot open {path}: {exc}")
-    with handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            text = None
-    parsed = None if text is None else _parse_well_formed(text, require_label)
+    parsed = _parse_well_formed(path, require_label)
     return parsed if parsed is not None else _parse_cells(path, require_label)
 
 
-def _parse_well_formed(text: str, require_label: bool) -> LabelledSample | None:
-    """The file parsed by ``np.loadtxt``, or None when anything looks wrong."""
-    if any(c in text for c in _SLOW_PATH_CHARS):
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = [line for line in text.split("\n") if line and not line.startswith("#")]
-    if len(lines) < 2:
-        return None
-    header = lines[0].split(",")
-    labelled = header[0].strip() == "label"
-    if require_label and not labelled:
-        return None
-    rows = lines[1:]
-    y = None
-    if labelled:
-        split = [row.partition(",") for row in rows]
-        labels = [label.strip() for label, _, _ in split]
-        if not set(labels) <= {"1", "2"}:
-            return None
-        y = np.array(labels, dtype=np.int64)
-        rows = [features for _, _, features in split]
-    # loadtxt skips empty lines; the shape check below catches any other
-    # row it reads differently.
-    if not all(rows):
-        return None
+def _open_csv(path):
+    # utf-8-sig drops a leading byte-order mark; newline="" ends lines at \n, \r\n or \r
     try:
-        X = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
+        return open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise DataFormatError(f"cannot open {path}: {exc}")
+
+
+def _feature_rows(handle, require_label: bool, header: list, labels: list):
+    """Yield each data row's feature text, fill ``header`` and append each
+    row's label (None without a label column) to ``labels``. Raise
+    ValueError at a line that needs the cell-by-cell parse."""
+    for line in handle:
+        if any(c in line for c in _SLOW_PATH_CHARS):
+            raise ValueError
+        line = line.rstrip("\r\n")
+        if not line or line.startswith("#"):
+            continue
+        if not header:
+            header.extend(line.split(","))
+            labelled = header[0].strip() == "label"
+            if require_label and not labelled:
+                raise ValueError
+            continue
+        label = None
+        if labelled:
+            label, _, line = line.partition(",")
+            label = label.strip()
+            # loadtxt skips empty lines; the shape check after it catches
+            # any other row it reads differently.
+            if label not in ("1", "2") or not line:
+                raise ValueError
+        labels.append(label)
+        yield line
+
+
+def _parse_well_formed(path, require_label: bool) -> LabelledSample | None:
+    """The file streamed through ``np.loadtxt``, or None when anything looks wrong."""
+    header, labels = [], []
+    with _open_csv(path) as handle:
+        rows = _feature_rows(handle, require_label, header, labels)
+        try:
+            first = next(rows, None)  # loadtxt warns on an input without rows
+            if first is None:
+                return None
+            X = np.loadtxt(chain((first,), rows), delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a UnicodeDecodeError is one
+            return None
+    labelled = header[0].strip() == "label"
+    if X.shape != (len(labels), len(header) - labelled) or not np.isfinite(X).all():
         return None
-    if X.shape != (len(rows), len(header) - labelled) or not np.isfinite(X).all():
-        return None
-    return LabelledSample(X=X, y=y)
+    return LabelledSample(X=X, y=np.array(labels, dtype=np.int64) if labelled else None)
 
 
 def _parse_cells(path, require_label: bool) -> LabelledSample:
     """Cell-by-cell parse with ``csv.reader`` and ``float()``."""
     rows = []
     header = None
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataFormatError(f"cannot open {path}: {exc}")
-    with handle:
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
         try:
             for line_no, row in enumerate(reader, start=1):

@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import re
 import subprocess
@@ -158,6 +160,27 @@ class TestFitPredict:
         out = capsys.readouterr().out
         assert "fitted B1=6 B2=3 d=2 base=lda" in out
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, synthetic_csv, capsys):
+        # spreadsheet exports start a UTF-8 file with a byte-order mark
+        text = "# exported\n" + synthetic_csv.read_text(encoding="utf-8")
+        outputs = {}
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            data, cfg = tmp_path / f"{name}.csv", tmp_path / f"{name}.cfg"
+            data.write_text(prefix + text, encoding="utf-8")
+            cfg.write_text(prefix + "d = 2\nB1 = 6\nB2 = 2\nseed = 3\n", encoding="utf-8")
+            model, pred = tmp_path / f"{name}.json", tmp_path / f"{name}-pred.csv"
+            assert main([
+                "fit", "--train", str(data), "--model-out", str(model), "--config", str(cfg),
+            ]) == 0
+            assert main([
+                "predict", "--model-in", str(model), "--data", str(data), "--out", str(pred),
+            ]) == 0
+            outputs[name] = capsys.readouterr().out, _read(model), _data_rows(pred)
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf# exported")
+        assert "fitted B1=6 B2=2 d=2" in outputs["bom"][0]
+        assert "error against file labels" in outputs["bom"][0]
+        assert outputs["bom"][1:] == outputs["plain"][1:]
+
     def test_curves_output(self, tmp_path, synthetic_csv, capsys):
         model_path = tmp_path / "model.json"
         curves = tmp_path / "curves.csv"
@@ -183,6 +206,17 @@ class TestFitPredict:
         ])
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_is_3(self, tmp_path, synthetic_csv, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# r\xe9glages\nd = 2\n".encode("latin-1"))
+        code = main([
+            "fit", "--train", str(synthetic_csv), "--model-out",
+            str(tmp_path / "m.json"), "--config", str(cfg),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"data error: {cfg}: 'utf-8' codec")
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_d_is_usage_error(self, tmp_path, synthetic_csv, capsys):
         code = main([
@@ -258,6 +292,28 @@ class TestExitCodes:
         ])
         assert code == 3
         assert capsys.readouterr().err.startswith(f"data error: {bad}")
+
+    def test_read_failure_mid_file_is_3(self, tmp_path, synthetic_csv, capsys, monkeypatch):
+        class FailsAfterHeader(io.StringIO):
+            """A handle whose reads fail once the header line is out."""
+
+            def __next__(self):
+                if self.tell():
+                    raise OSError(errno.EIO, "Input/output error")
+                return super().__next__()
+
+            def read(self, size=-1):
+                raise OSError(errno.EIO, "Input/output error")
+
+        text = synthetic_csv.read_text(encoding="utf-8")
+        monkeypatch.setattr(dg, "open", lambda *a, **k: FailsAfterHeader(text), raising=False)
+        model_path = tmp_path / "m.json"
+        code = main([
+            "fit", "--train", str(synthetic_csv), "--model-out", str(model_path), "--d", "2",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: [Errno 5] Input/output error")
+        assert not model_path.exists()
 
     @pytest.mark.parametrize("base", ["knn", "lda", "qda"])
     @pytest.mark.parametrize("cell", ["nan", "inf"])

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,7 +311,7 @@ def _check_paths_agree(path, require_label=True):
     slow = _outcome(lambda: dg._parse_cells(path, require_label))
     fast = None
     if path.exists():
-        fast = dg._parse_well_formed(path.read_bytes().decode("utf-8"), require_label)
+        fast = dg._parse_well_formed(path, require_label)
     if fast is not None:
         assert _outcome(lambda: fast) == slow
     assert _outcome(lambda: dg.load_labelled_csv(path, require_label=require_label)) == slow
@@ -420,6 +421,66 @@ class TestCsvFastPath:
         want = np.array([row[:width] for row in cells], dtype=np.float64)
         assert s.X.tobytes() == want.tobytes()
         assert s.y.tolist() == [int(lab) for lab in labels[: len(cells)]]
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvStreaming:
+    """The fast path reads one line at a time and still falls back, or
+    raises, exactly where the cell-by-cell parse says."""
+
+    def test_peak_memory_is_about_the_array(self, tmp_path):
+        drawn = dg.sample(dg.ModelSpec(model_id=1, p=100), 2000, _gen(11))
+        f = tmp_path / "wide.csv"
+        with open(f, "w", encoding="utf-8") as fh:
+            fh.write("label," + ",".join(f"x{j + 1}" for j in range(100)) + "\n")
+            for label, row in zip(drawn.y.tolist(), drawn.X.tolist()):
+                fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+        tracemalloc.start()
+        try:
+            s = dg.load_labelled_csv(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.X.tobytes() == drawn.X.tobytes() and s.y.tobytes() == drawn.y.tobytes()
+        assert peak < s.X.nbytes + 2_000_000, f"traced peak {peak} bytes"
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,0.5", r":50002: label must be 1 or 2, got '3'"),
+        ("1,0.5,0.25", r":50002: expected 2 columns, got 3"),
+        ("2,nan", r":50002: non-finite value 'nan' in column 'x'"),
+    ], ids=["bad_label", "ragged", "nan"])
+    def test_bad_row_past_the_first_loadtxt_chunk(self, tmp_path, row, message):
+        # the bad row lies past numpy's _loadtxt_chunksize of 50,000 rows
+        f = tmp_path / "long.csv"
+        f.write_text("label,x\n" + "1,0.5\n2,1.5\n" * 25_000 + row + "\n", encoding="utf-8")
+        assert _check_paths_agree(f) is False
+        with pytest.raises(DataFormatError, match=message):
+            dg.load_labelled_csv(f)
+
+    @pytest.mark.parametrize("text, message", [
+        ("label,x\n", "no data rows"),
+        ("# only a comment\n\n# and another\n", "missing header row"),
+        ("x\n", "first header column must be 'label'"),
+    ])
+    def test_files_without_rows_raise_without_a_numpy_warning(self, tmp_path, text, message):
+        f = tmp_path / "empty.csv"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=message):
+            dg.load_labelled_csv(f)
+        assert dg._parse_well_formed(f, False) is None
+
+    @pytest.mark.parametrize("require_label", [True, False])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, require_label):
+        text = "# exported\nlabel,x,y\n1,0.5,1\n2,1.5,-2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf#")
+        outcome = _outcome(lambda: dg.load_labelled_csv(plain, require_label=require_label))
+        assert outcome[2] is not None  # the label column was read as labels
+        for parse in (dg.load_labelled_csv, dg._parse_well_formed, dg._parse_cells):
+            got = _outcome(lambda: parse(marked, require_label=require_label))
+            assert got == outcome, parse.__name__
 
 
 class TestCsvFastPathGuard:

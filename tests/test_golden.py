@@ -10,7 +10,10 @@ projected in waves that cross block boundaries.  One more case pins a
 --out`` CSV written through ``cli.main``.  Three more pin the bytes of
 ``votes_many`` of a seeded lda, qda and knn ensemble on a seeded
 500-row test set.  Four more pin the bytes of one seeded
-``datagen.sample`` per built-in model.  A change to the
+``datagen.sample`` per built-in model.  One more pins the model file and
+the predictions file (without their '#' audit lines) of ``rpens fit`` and
+``rpens predict`` run through ``cli.main`` on seeded CSVs written with
+``repr``, so the CSV reader is on the pinned path.  A change to the
 fitting or sampling path that is meant to keep behaviour keeps every
 digest; a change that moves one on purpose must name the output and say
 why.
@@ -51,6 +54,8 @@ WAVE_BASES = ("lda", "qda")
 VOTE_BASES = ("lda", "qda", "knn")
 N_VOTE_TEST = 500
 SAMPLE_MODELS = (1, 2, 3, 4)
+CSV_SPEC = datagen.ModelSpec(model_id=4, p=40)
+CSV_FIT_ARGS = ["--d", "2", "--B1", "6", "--B2", "3", "--base", "qda", "--seed", "13"]
 
 GOLDEN = {
     "lda-resubstitution-haar-data_alpha": "2f7488e0084a7058c19d361ae72f0f3a5f45a0d18f9fd1673a4c6ffd1ac3255d",
@@ -96,6 +101,7 @@ GOLDEN = {
     "knn-votes": "b4a2a2efb66f5387008b2a4914fbfa46fb2c36aef1d4bb4e6dea54204162007d",
     "select_d_profile": "895bdc57a0b4f9eb247d8f06a401730c14e2ae65246fcdd26015e4c60f1f2d4a",
     "simulate_out": "65d7bb71d2656e436ff92c681d1496e73a9e7fc661a2fcc9f4f16bf8642721b4",
+    "csv_round_trip": "8ab5ddd21d1798bd59a553d3433703664e81561b62cd8c5d7f1bbb49feda38e3",
     "sample-model1": "d578bfc9bbf290e1cb8689d9ef171ab35d071be8b7c52585729101cad946b898",
     "sample-model2": "2bfb381ef636fb9f0096405817bc23702ec3623e04147bd73c9753a523560a58",
     "sample-model3": "e028a7360749cf8c8c696ff9a6b08cd0e8779bb333addec2e1316cc6f756ece8",
@@ -147,6 +153,28 @@ def _sample_digest(model_id):
     return hashlib.sha256(s.X.tobytes() + s.y.tobytes()).hexdigest()
 
 
+def _write_repr_csv(path, s):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("label," + ",".join(f"x{j + 1}" for j in range(s.X.shape[1])) + "\n")
+        for label, row in zip(s.y.tolist(), s.X.tolist()):
+            fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+
+
+def _csv_round_trip_digest(out_dir):
+    train, test, model, predictions = (
+        os.path.join(out_dir, name) for name in ("train.csv", "test.csv", "model.json", "pred.csv")
+    )
+    _write_repr_csv(train, datagen.sample(CSV_SPEC, 200, make_rng(2017, "golden-csv-train")))
+    _write_repr_csv(test, datagen.sample(CSV_SPEC, 100, make_rng(2017, "golden-csv-test")))
+    assert cli_main(["fit", "--train", train, "--model-out", model] + CSV_FIT_ARGS) == 0
+    assert cli_main(["predict", "--model-in", model, "--data", test, "--out", predictions]) == 0
+    digest = hashlib.sha256()
+    for path in (model, predictions):
+        with open(path, "rb") as fh:
+            digest.update(b"".join(line for line in fh if not line.startswith(b"#")))
+    return digest.hexdigest()
+
+
 def _select_d_digest(X, y):
     cfg = en.EnsembleConfig(B1=4, B2=3, d=1, base="knn", master_seed=9)
     chosen, profile = en.select_d_profile(X, y, (1, 2, 3), cfg)
@@ -188,6 +216,12 @@ def test_simulate_out_digest(tmp_path, capsys):
     assert got == GOLDEN["simulate_out"], "simulate --out CSV moved"
 
 
+def test_csv_round_trip_digest(tmp_path, capsys):
+    got = _csv_round_trip_digest(str(tmp_path))
+    capsys.readouterr()
+    assert got == GOLDEN["csv_round_trip"], "fit/predict outputs of a CSV round trip moved"
+
+
 @pytest.mark.parametrize("model_id", SAMPLE_MODELS)
 def test_sample_digest(model_id):
     name = f"sample-model{model_id}"
@@ -206,5 +240,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         digest = _simulate_digest(tmp)
     print(f'    "simulate_out": "{digest}",')
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        digest = _csv_round_trip_digest(tmp)
+    print(f'    "csv_round_trip": "{digest}",')
     for model_id in SAMPLE_MODELS:
         print(f'    "sample-model{model_id}": "{_sample_digest(model_id)}",')
