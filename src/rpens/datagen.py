@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -317,9 +318,10 @@ def load_labelled_csv(path, *, require_label: bool = True) -> LabelledSample:
     A well-formed file is streamed line by line through numpy's C reader,
     so its text is never held whole in memory. Anything else (a bad
     label, a quote, a cell numpy refuses, a ragged or non-finite row) is
-    read again cell by cell, which raises the error naming the line and
-    column, or accepts the few cells ``float()`` takes and numpy does not
-    (such as ``1_0``) with the same result.
+    read again cell by cell, one row at a time, which raises the error of
+    the first bad line in file order, naming the line and column, or
+    accepts the few cells ``float()`` takes and numpy does not (such as
+    ``1_0``) with the same result.
     """
     parsed = _parse_well_formed(path, require_label)
     return parsed if parsed is not None else _parse_cells(path, require_label)
@@ -380,18 +382,21 @@ def _parse_well_formed(path, require_label: bool) -> LabelledSample | None:
 
 
 def _parse_cells(path, require_label: bool) -> LabelledSample:
-    """Cell-by-cell parse with ``csv.reader`` and ``float()``."""
-    rows = []
+    """Cell-by-cell parse with ``csv.reader`` and ``float()`` in one pass:
+    each row is checked and appended to one float buffer as it is read, so
+    no cell text outlives its row and X is a view of that buffer."""
     header = None
+    labels = []
+    values = array("d")
     with _open_csv(path) as handle:
-        reader = csv.reader(handle)
         try:
-            for line_no, row in enumerate(reader, start=1):
-                if not row or (row[0].startswith("#")):
+            for line_no, row in enumerate(csv.reader(handle), start=1):
+                if not row or row[0].startswith("#"):
                     continue
                 if header is None:
                     header = row
                     labelled = header[0].strip() == "label"
+                    k = int(labelled)  # index of the first feature column
                     if require_label and not labelled:
                         raise DataFormatError(
                             f"{path}:{line_no}: first header column must be 'label'"
@@ -403,37 +408,30 @@ def _parse_cells(path, require_label: bool) -> LabelledSample:
                     raise DataFormatError(
                         f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}"
                     )
-                rows.append((line_no, row))
+                if labelled:
+                    label = row[0].strip()
+                    if label not in ("1", "2"):
+                        raise DataFormatError(f"{path}:{line_no}: label must be 1 or 2, got {label!r}")
+                    labels.append(int(label))
+                for name, cell in zip(header[k:], row[k:]):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataFormatError(
+                            f"{path}:{line_no}: non-numeric value {cell!r} in column {name!r}"
+                        )
+                    # float() accepts 'nan' and 'inf'
+                    if not math.isfinite(value):
+                        raise DataFormatError(
+                            f"{path}:{line_no}: non-finite value {cell!r} in column {name!r}"
+                        )
+                    values.append(value)
         except (UnicodeDecodeError, csv.Error) as exc:
             # a file that is not UTF-8, or a cell over csv's field size limit
             raise DataFormatError(f"{path}: {exc}") from None
     if header is None:
         raise DataFormatError(f"{path}: missing header row")
-    if not rows:
+    if not values:
         raise DataFormatError(f"{path}: no data rows")
-    k = int(labelled)  # index of the first feature column
-    n = len(rows)
-    X = np.empty((n, len(header) - k))
-    y = np.empty(n, dtype=np.int64) if labelled else None
-    for i, (line_no, row) in enumerate(rows):
-        if labelled:
-            label = row[0].strip()
-            if label not in ("1", "2"):
-                raise DataFormatError(f"{path}:{line_no}: label must be 1 or 2, got {label!r}")
-            y[i] = int(label)
-        for j, cell in enumerate(row[k:]):
-            try:
-                X[i, j] = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line_no}: non-numeric value {cell!r} in column {header[j + k]!r}"
-                )
-    # float() accepts 'nan' and 'inf'; one check after the loop finds them.
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        i, j = bad[0]
-        line_no, row = rows[i]
-        raise DataFormatError(
-            f"{path}:{line_no}: non-finite value {row[j + k]!r} in column {header[j + k]!r}"
-        )
-    return LabelledSample(X=X, y=y)
+    X = np.frombuffer(values).reshape(-1, len(header) - k)
+    return LabelledSample(X=X, y=np.array(labels, dtype=np.int64) if labelled else None)

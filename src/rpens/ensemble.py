@@ -443,8 +443,8 @@ def votes_many(model: EnsembleModel, X) -> np.ndarray:
 
 
 def _counts_to_labels(counts: np.ndarray, alpha: Fraction, b1: int) -> np.ndarray:
-    # class 1 iff count/B1 >= alpha, decided in exact integer arithmetic
-    class1 = counts * alpha.denominator >= alpha.numerator * b1
+    # class 1 iff count >= ceil(alpha * B1), one exact integer: no int64 product to wrap
+    class1 = counts >= -(-alpha.numerator * b1 // alpha.denominator)
     return np.where(class1, 1, 2).astype(np.int64)
 
 

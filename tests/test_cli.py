@@ -1,5 +1,6 @@
 import errno
 import io
+import json
 import os
 import re
 import subprocess
@@ -250,6 +251,27 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_threshold_denominator_past_int64_predicts(self, tmp_path, synthetic_csv, capsys):
+        model_path = tmp_path / "model.json"
+        assert main([
+            "fit", "--train", str(synthetic_csv), "--model-out", str(model_path),
+            "--d", "2", "--B1", "6", "--B2", "2", "--seed", "3",
+        ]) == 0
+        obj = json.loads(_read(model_path))
+        num, den = 3 * 10**29 + 1, 10**30  # coprime, so the file keeps den
+        obj["alpha_hat"] = {"num": num, "den": den}
+        model_path.write_text(json.dumps(obj), encoding="ascii")
+        pred_path = tmp_path / "pred.csv"
+        assert main([
+            "predict", "--model-in", str(model_path),
+            "--data", str(synthetic_csv), "--out", str(pred_path),
+        ]) == 0
+        capsys.readouterr()
+        _, rows = _data_rows(pred_path)
+        for _, label, fraction in rows:
+            votes = int(fraction.split("/")[0])
+            assert int(label) == (1 if votes * den >= num * 6 else 2)
 
     def test_missing_model_file_is_3(self, tmp_path, synthetic_csv, capsys):
         code = main([

@@ -357,6 +357,14 @@ _CASES = {
     "no_feature_columns": ("label\n1\n", False, r":1: no feature columns"),
     "no_rows": ("# a\nlabel,x\n", False, r"no data rows"),
     "unlabelled": ("x,y\n0.5,1\n", False, r":1: first header column must be 'label'"),
+    # the first bad line in file order is reported, and in it the first check
+    # it fails: its column count, then its label, then its cells in order
+    "label_before_ragged": ("label,x\n1,0.5\n3,1.5\n2,0.5\n1,0.5,9\n", False, r":3: label must be 1 or 2, got '3'"),
+    "cell_before_ragged": ("label,x,y\n1,0.5,1\n2,abc,1\n1,1\n", False, r":3: non-numeric value 'abc' in column 'x'"),
+    "nan_before_text": ("label,x,y\n2,0.5,nan\n1,abc,1\n", False, r":2: non-finite value 'nan' in column 'y'"),
+    "nan_then_text": ("label,x,y\n1,nan,abc\n", False, r":2: non-finite value 'nan' in column 'x'"),
+    "label_then_cells": ("label,x,y\n3,nan,abc\n", False, r":2: label must be 1 or 2, got '3'"),
+    "columns_then_label": ("label,x,y\n3,nan\n", False, r":2: expected 3 columns, got 2"),
 }
 
 
@@ -423,6 +431,14 @@ class TestCsvFastPath:
         assert s.y.tolist() == [int(lab) for lab in labels[: len(cells)]]
 
 
+def _write_sample(path, drawn, header="label"):
+    """Write a sample as this package does: a header, then repr-written rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "," + ",".join(f"x{j + 1}" for j in range(drawn.X.shape[1])) + "\n")
+        for label, row in zip(drawn.y.tolist(), drawn.X.tolist()):
+            fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+
+
 @pytest.mark.filterwarnings("error")
 class TestCsvStreaming:
     """The fast path reads one line at a time and still falls back, or
@@ -431,10 +447,7 @@ class TestCsvStreaming:
     def test_peak_memory_is_about_the_array(self, tmp_path):
         drawn = dg.sample(dg.ModelSpec(model_id=1, p=100), 2000, _gen(11))
         f = tmp_path / "wide.csv"
-        with open(f, "w", encoding="utf-8") as fh:
-            fh.write("label," + ",".join(f"x{j + 1}" for j in range(100)) + "\n")
-            for label, row in zip(drawn.y.tolist(), drawn.X.tolist()):
-                fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+        _write_sample(f, drawn)
         tracemalloc.start()
         try:
             s = dg.load_labelled_csv(f)
@@ -483,6 +496,57 @@ class TestCsvStreaming:
             assert got == outcome, parse.__name__
 
 
+@pytest.mark.filterwarnings("error")
+class TestCellByCellParse:
+    """The fallback holds no cell text past its row."""
+
+    @pytest.mark.parametrize("header, last_label", [('"label"', None), ("label", "3")],
+                             ids=["quoted_header", "bad_last_label"])
+    def test_peak_memory_is_about_the_array(self, tmp_path, header, last_label):
+        drawn = dg.sample(dg.ModelSpec(model_id=1, p=100), 2000, _gen(12))
+        if last_label is not None:
+            drawn.y[-1] = int(last_label)
+        f = tmp_path / "wide.csv"
+        _write_sample(f, drawn, header)
+        parsed = error = None
+        tracemalloc.start()
+        try:
+            parsed = dg._parse_cells(f, True)
+        except DataFormatError as exc:
+            error = str(exc)
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        if last_label is None:
+            assert _outcome(lambda: parsed) == (drawn.X.tobytes(), drawn.X.shape, drawn.y.tobytes())
+        else:
+            assert error.endswith(":2001: label must be 1 or 2, got '3'")
+        assert peak < 2 * drawn.X.nbytes + 2_000_000, f"traced peak {peak} bytes"
+
+
+# A small well-formed labelled file, and what each single-character edit puts
+# in place of a character: nothing, the character twice, or one of these.
+_FUZZ_BASE = "# c\nlabel,x,y\n1,0.5,-2\n2,1e3,3\n"
+_FUZZ_INSERTS = (",", '"', "#", "\r", "nan", "1_0", "\ufeff")
+
+
+def _single_edits(text):
+    for i, char in enumerate(text):
+        for middle in ("", char * 2) + _FUZZ_INSERTS:
+            yield text[:i] + middle + text[i + 1:]
+
+
+@pytest.mark.filterwarnings("error")
+def test_single_character_edits_load_or_raise_a_data_error(tmp_path):
+    f = tmp_path / "data.csv"
+    variants = sorted(set(_single_edits(_FUZZ_BASE)))
+    assert len(variants) > 200
+    for text in variants:
+        f.write_bytes(text.encode("utf-8"))
+        for require_label in (True, False):
+            _check_paths_agree(f, require_label)
+
+
 class TestCsvFastPathGuard:
     """Files in the shapes this package writes never reach the cell loop."""
 
@@ -496,10 +560,7 @@ class TestCsvFastPathGuard:
     def test_sample_written_with_repr(self, tmp_path, no_cell_loop):
         drawn = dg.sample(dg.ModelSpec(model_id=2, p=7), 50, _gen(5))
         f = tmp_path / "train.csv"
-        with open(f, "w", encoding="utf-8") as fh:
-            fh.write("label," + ",".join(f"x{j + 1}" for j in range(7)) + "\n")
-            for label, row in zip(drawn.y.tolist(), drawn.X.tolist()):
-                fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+        _write_sample(f, drawn)
         s = dg.load_labelled_csv(f)
         assert s.X.tobytes() == drawn.X.tobytes()
         assert s.y.tobytes() == drawn.y.tobytes()

@@ -654,6 +654,24 @@ class TestVotesAndPredict:
         assert en._counts_to_labels(np.array([69]), Fraction(7, 10), 100)[0] == 2
         assert en._counts_to_labels(np.array([70]), Fraction(7, 10), 100)[0] == 1
 
+    @pytest.mark.parametrize("alpha, b1", [(0.1, 256), (0.2, 256), (0.3, 600)])
+    def test_fixed_float_threshold_is_exact_past_int64(self, alpha, b1):
+        # Fraction(0.1) has denominator 2**55, Fraction(0.2) and Fraction(0.3)
+        # 2**54, so count * denominator leaves int64 at 256 and 512 votes.
+        counts = np.arange(b1 + 1, dtype=np.int64)
+        a = Fraction(alpha)
+        want = [1 if Fraction(c, b1) >= a else 2 for c in range(b1 + 1)]
+        assert en._counts_to_labels(counts, a, b1).tolist() == want
+
+    def test_predict_with_a_fixed_threshold_at_600_votes(self):
+        X, y = make_blobs(50, 6, 3.0, seed=61)
+        m = en.fit(X, y, en.EnsembleConfig(B1=600, B2=1, d=2, base="lda", alpha=0.3))
+        probes = make_blobs(100, 6, 3.0, seed=62)[0]
+        counts = en.votes_many(m, probes)
+        assert (counts >= 512).any() and (counts < 180).any()
+        want = [1 if Fraction(int(c), 600) >= Fraction(0.3) else 2 for c in counts]
+        assert en.predict_many(m, probes).tolist() == want
+
     def test_raising_threshold_never_adds_class_1(self):
         counts = np.arange(0, 13)
         alphas = [Fraction(k, 24) for k in range(1, 24)]

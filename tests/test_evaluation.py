@@ -321,6 +321,23 @@ class TestTheorem1:
         assert res.proxy_error == 0.0
         assert len(res.gaps) == 4
 
+    def test_grid_point_past_the_int64_vote_product(self):
+        # Fraction(0.1) has denominator 2**55, so from 256 votes on a count
+        # times it leaves int64; on fully separated data every label must
+        # still be right at every grid point and in the proxy run.
+        model = dg.ModelSpec(model_id=1, p=3, mean_shift=40.0)
+        res = ev.theorem1_rate_diagnostic(
+            model,
+            self._cfg(alpha=0.1, projection_kind="axis_aligned"),
+            n_train=30,
+            b1_grid=(2, 4, 8, 300),
+            mc_test=200,
+            n_ensembles=2,
+            master_seed=6,
+        )
+        assert res.proxy_error == 0.0
+        assert res.max_gap <= 0.0
+
     def test_deterministic(self):
         model = _gauss_model()
         kw = dict(

@@ -8,6 +8,7 @@ import pytest
 from rpens import base_classifiers as bc
 from rpens import ensemble as en
 from rpens import errors, serialize
+from rpens.cli import main
 
 from conftest import (
     DAMAGED_MODELS, _array_record, make_blobs, pooled_covariance, rank_deficient_sample,
@@ -197,3 +198,85 @@ class TestLoadBoundary:
         record[field] = _array_record(value) if isinstance(value, np.ndarray) else value
         with pytest.raises(errors.DataFormatError, match=f"{field} (must hold finite|has JSON)"):
             serialize.loads(json.dumps(obj))
+
+
+# Every JSON leaf of each small saved model takes each of these values in turn.
+_MUTANT_VALUES = (
+    None, "x", [], {}, -1, 0, 1, 2, 3, 10**30, -(10**30), 0.5, -0.0, 1e308, True, [1], [0.5, 2],
+)
+
+
+def _small_models():
+    """The saved form of small lda, qda and knn fits, and of lda with
+    sample_split and qda with leave_one_out."""
+    X, y = make_blobs(16, 5, 1.8, seed=100)
+    for base, kw in [("lda", {}), ("qda", {}), ("knn", {}),
+                     ("lda", {"estimator": "sample_split"}),
+                     ("qda", {"estimator": "leave_one_out"})]:
+        cfg = en.EnsembleConfig(B1=2, B2=2, d=2, base=base, master_seed=100, **kw)
+        yield json.loads(serialize.dumps(en.fit(X, y, cfg)))
+
+
+def _leaf_paths(obj, path=()):
+    """Key paths to every scalar and every empty list or dict in obj."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))
+    else:
+        items = []
+    if not items:
+        yield path
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _mutants(obj):
+    """(key path, value, JSON text of obj with that leaf set to that value)
+    for every leaf and value."""
+    for path in _leaf_paths(obj):
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        kept = parent[path[-1]]
+        for value in _MUTANT_VALUES:
+            parent[path[-1]] = value
+            yield path, value, json.dumps(obj)
+        parent[path[-1]] = kept
+
+
+class TestMutatedModels:
+    """A model file with any one leaf changed loads and predicts, or is a data error."""
+
+    def test_every_leaf_mutation_predicts_or_is_a_data_error(self):
+        probes = np.random.default_rng(0).normal(size=(4, 5))
+        loaded = 0
+        for obj in _small_models():
+            for path, value, text in _mutants(obj):
+                try:
+                    mutated = serialize.loads(text)
+                except errors.DataFormatError:
+                    continue
+                assert en.predict_many(mutated, probes).shape == (4,), (path, value)
+                loaded += 1
+        assert loaded > 0
+
+    def test_predict_command_exits_0_or_3(self, tmp_path, capsys):
+        data = tmp_path / "x.csv"
+        data.write_text("x1,x2,x3,x4,x5\n0.5,-1,2,0,1e3\n", encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        codes = set()
+        for obj in _small_models():
+            for i, (path, value, text) in enumerate(_mutants(obj)):
+                # every 101st mutation, and each of the threshold's denominator
+                if i % 101 and path != ("alpha_hat", "den"):
+                    continue
+                model_path.write_text(text, encoding="ascii")
+                code = main([
+                    "predict", "--model-in", str(model_path),
+                    "--data", str(data), "--out", str(tmp_path / "pred.csv"),
+                ])
+                assert code in (0, 3), (path, value)
+                codes.add(code)
+        capsys.readouterr()
+        assert codes == {0, 3}
