@@ -27,6 +27,16 @@ factor of class r's covariance. Its values differ in the last bits from
 versions that formed (mu_r + Z L_r^T) R^T with two products; model 1-3
 samples do not.
 
+A sample is drawn from one generator: the labels, then the features
+into an array allocated with them. Model 4 draws its classes in class
+order through one buffer as tall as the larger class: class 1's normals
+in the buffer and its product in the sample's first rows, class 2's
+normals in the other rows and its product in the buffer. The rows then
+move into label order. The products and the move draw nothing, so a
+caller may run them on another thread, class 1's beside class 2's
+normals. A draw holds the sample and that buffer, and its values are
+those of one product per class, bit for bit.
+
 ``sample``, ``log_density``, ``eta``, ``bayes_risk`` and the cached model
 factors run the bundled OpenBLAS on one thread and restore the caller's
 thread count on return, so a seeded sample and its densities are the
@@ -39,7 +49,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -147,6 +157,7 @@ def _derived(spec: ModelSpec) -> dict:
 
 
 def _sample_class(spec: ModelSpec, r: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of class r of model 1, 2 or 3 (``_fill_steps`` draws model 4)."""
     p = spec.p
     der = _derived(spec)
     if spec.model_id == 1:
@@ -160,25 +171,65 @@ def _sample_class(spec: ModelSpec, r: int, n: int, rng: np.random.Generator) -> 
         z = rng.standard_normal((n, p)) @ chol.T
         u = rng.chisquare(dof, size=n)
         return mu + z / np.sqrt(u / dof)[:, None]
-    if spec.model_id == 3:
-        if r == 1:
-            signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-            return signs[:, None] * der["mu1"] + rng.standard_normal((n, p))
-        X = rng.standard_normal((n, p))
-        X[:, :5] = rng.standard_cauchy((n, 5))
-        return X
-    return rng.standard_normal((n, p)) @ der["factor"][r - 1] + der["rotated_mu"][r - 1]
+    if r == 1:
+        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        return signs[:, None] * der["mu1"] + rng.standard_normal((n, p))
+    X = rng.standard_normal((n, p))
+    X[:, :5] = rng.standard_cauchy((n, 5))
+    return X
+
+
+def _start_sample(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple:
+    """Draw n labels; return them, the empty (n, p) feature array and the
+    iterator that fills it (through a buffer allocated here, for model 4)."""
+    y = np.where(rng.random(n) < spec.pi_1, 1, 2).astype(np.int64)
+    n1 = int(np.count_nonzero(y == 1))
+    Z = np.empty((max(n1, n - n1), spec.p)) if spec.model_id == 4 else None
+    X = np.empty((n, spec.p))
+    return y, X, _fill_steps(spec, y, X, Z, rng)
+
+
+def _fill_steps(spec: ModelSpec, y: np.ndarray, X: np.ndarray, Z, rng: np.random.Generator):
+    """Draw the features of labels y into X, class 1's before class 2's.
+
+    The iteration draws from rng; for model 4 it yields calls that finish
+    the draw. They draw nothing, so they may lag the iteration, and must
+    run in yield order on any one thread."""
+    if Z is None:
+        for r in (1, 2):
+            mask = y == r
+            X[mask] = _sample_class(spec, r, int(mask.sum()), rng)  # an empty class draws nothing
+        return
+    der = _derived(spec)
+    rows1 = np.flatnonzero(y == 1)
+    n1, n2 = len(rows1), len(y) - len(rows1)
+    # Class 1's normals go in Z and its product in X's first n1 rows; class
+    # 2's normals go in X's other rows and its product in Z.
+    for r, z, out in ((1, Z[:n1], X[:n1]), (2, X[n1:], Z[:n2])):
+        rng.standard_normal(out=z)
+        yield partial(np.matmul, z, der["factor"][r - 1], out=out)
+        yield partial(np.add, out, der["rotated_mu"][r - 1], out=out)
+    yield partial(_to_label_order, X, Z[:n2], y, rows1)
+
+
+def _to_label_order(X: np.ndarray, class2: np.ndarray, y: np.ndarray, rows1: np.ndarray) -> None:
+    """Move class 1's rows down from X's first rows, and class 2's in from class2."""
+    # Row j of class 1 moves down to rows1[j] >= j, the last rows first and
+    # about 1 MB at a time; numpy copies a source that overlaps its target.
+    step = 1 + _CHUNK // X.shape[1]
+    for stop in range(len(rows1), 0, -step):
+        start = max(stop - step, 0)
+        X[rows1[start:stop]] = X[start:stop]
+    X[y == 2] = class2
 
 
 @_blas.single_thread
 def sample(spec: ModelSpec, n: int, rng: np.random.Generator, with_eta: bool = False) -> LabelledSample:
     """Draw n labelled points: labels first, then class-conditional features."""
-    y = np.where(rng.random(n) < spec.pi_1, 1, 2).astype(np.int64)
-    X = np.empty((n, spec.p))
-    for r in (1, 2):
-        mask = y == r
-        if mask.any():
-            X[mask] = _sample_class(spec, r, int(mask.sum()), rng)
+    y, X, calls = _start_sample(spec, n, rng)
+    for call in calls:
+        call()
+    call = calls = None  # and the buffer of normals they hold, before eta
     return LabelledSample(X=X, y=y, eta=eta(spec, X) if with_eta else None)
 
 
@@ -389,8 +440,11 @@ def _parse_cells(path, require_label: bool) -> LabelledSample:
     labels = []
     values = array("d")
     with _open_csv(path) as handle:
+        reader = csv.reader(handle)
         try:
-            for line_no, row in enumerate(csv.reader(handle), start=1):
+            for row in reader:
+                # a quoted line break makes a record span lines; name its last
+                line_no = reader.line_num
                 if not row or row[0].startswith("#"):
                     continue
                 if header is None:

@@ -14,13 +14,24 @@ as N/A in reports rather than as crashes.
 ``run`` and the two theory diagnostics run the bundled OpenBLAS on one
 thread and restore the caller's thread count on return, so their results
 do not depend on it.
+
+In a repetition the caller draws the test sample, handing each product
+of a model-4 draw to one helper thread owned by ``run``, then draws the
+training sample and fits the comparators while the products run. The
+ensembles fit after the fill, with nothing beside them, so their fit
+time does not hang on a second CPU. The results equal a serial run's
+bit for bit; a process allowed one CPU runs the products inline.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -137,11 +148,22 @@ def comparator_knn_cv(Z, y, tie_seed: int = 0) -> int:
     return min(grid, key=lambda k: np.sum(bc.knn_loo_labels(Z, y, k, tie_seed=tie_seed) != y))
 
 
-def _draw_split(spec: ExperimentSpec, pool, rep: int):
+def _draw_split(spec: ExperimentSpec, pool, rep: int, helper):
+    """(X_tr, y_tr, X_te, y_te, pending). A generative test sample's features
+    fill on ``helper`` and may be read once every future in ``pending`` is
+    done; ``pending`` is empty when they are already in."""
     if isinstance(spec.source, dg.ModelSpec):
+        y_te, X_te, calls = dg._start_sample(
+            spec.source, spec.n_test, make_rng(spec.master_seed, "test", rep)
+        )
+        pending = []
+        for call in calls:  # the normals are drawn here, between calls
+            if helper is None:
+                call()
+            else:
+                pending.append(helper.submit(call))
         train = dg.sample(spec.source, spec.n_train, make_rng(spec.master_seed, "train", rep))
-        test = dg.sample(spec.source, spec.n_test, make_rng(spec.master_seed, "test", rep))
-        return train.X, train.y, test.X, test.y
+        return train.X, train.y, X_te, y_te, pending
     X, y = pool
     n = y.shape[0]
     n_test = (n - spec.n_train) if spec.n_test is None else spec.n_test
@@ -152,56 +174,61 @@ def _draw_split(spec: ExperimentSpec, pool, rep: int):
     perm = make_rng(spec.master_seed, "subsample", rep).permutation(n)
     tr = perm[: spec.n_train]
     te = perm[spec.n_train : spec.n_train + n_test]
-    return X[tr], y[tr], X[te], y[te]
+    return X[tr], y[tr], X[te], y[te], []
 
 
-def _eval_comparator(comp: ComparatorSpec, X_tr, y_tr, X_te, seed_key):
+def _eval_comparator(comp: ComparatorSpec, X_tr, y_tr, seed_key):
+    """The comparator fitted to the training sample, as a function from test
+    rows to labels, or None when it refuses the sample."""
     n, p = X_tr.shape
     if comp.kind == "constant":
-        return np.full(X_te.shape[0], comp.label, dtype=np.int64)
+        return lambda X: np.full(X.shape[0], comp.label, dtype=np.int64)
     if comp.kind == "lda":
-        if n <= p + 2:
-            return None
-        model = bc.fit_lda(X_tr, y_tr)
-        return model.predict_many(X_te)
+        return None if n <= p + 2 else bc.fit_lda(X_tr, y_tr).predict_many
     if comp.kind == "qda":
         n1 = int(np.sum(y_tr == 1))
-        n2 = int(np.sum(y_tr == 2))
-        if min(n1, n2) <= p + 1:
-            return None
-        model = bc.fit_qda(X_tr, y_tr)
-        return model.predict_many(X_te)
+        return None if min(n1, n - n1) <= p + 1 else bc.fit_qda(X_tr, y_tr).predict_many
     tie_seed = derive_int(*seed_key)
     k = comp.k if comp.k is not None else comparator_knn_cv(X_tr, y_tr, tie_seed=tie_seed)
-    model = bc.fit_knn(X_tr, y_tr, k=k, tie_seed=tie_seed)
-    return model.predict_many(X_te)
+    return bc.fit_knn(X_tr, y_tr, k=k, tie_seed=tie_seed).predict_many
 
 
-def _run_rep(spec: ExperimentSpec, pool, rep: int) -> dict:
-    X_tr, y_tr, X_te, y_te = _draw_split(spec, pool, rep)
-    out = {}
-    for m in spec.methods:
+def _wait(pending) -> None:
+    """Wait for every future in ``pending``, raising the first one's
+    exception. It polls: on a shared 2-vCPU VM, blocking here let the vCPU
+    idle, and the ensemble fit that follows ran slower and less steadily."""
+    for future in pending:
+        while not future.done():
+            time.sleep(0)  # gives up the interpreter lock
+        future.result()
+
+
+def _run_rep(spec: ExperimentSpec, pool, rep: int, helper) -> dict:
+    X_tr, y_tr, X_te, y_te, pending = _draw_split(spec, pool, rep, helper)
+    # Comparators fit while the test features fill, ensembles after it;
+    # a refusal or failure scores NaN.
+    predictors = {}
+    for m in sorted(spec.methods, key=lambda m: isinstance(m.config, en.EnsembleConfig)):
+        if isinstance(m.config, en.EnsembleConfig):
+            _wait(pending)
         try:
             if isinstance(m.config, en.EnsembleConfig):
-                cfg = replace(
-                    m.config,
-                    master_seed=derive_int(
-                        spec.master_seed, "ensemble", rep, m.config.master_seed
-                    ),
-                )
-                model = en.fit(X_tr, y_tr, cfg)
-                pred = en.predict_many(model, X_te)
+                seed = derive_int(spec.master_seed, "ensemble", rep, m.config.master_seed)
+                model = en.fit(X_tr, y_tr, replace(m.config, master_seed=seed))
+                predictors[m.method_id] = partial(en.predict_many, model)
             else:
-                pred = _eval_comparator(
-                    m.config, X_tr, y_tr, X_te,
-                    (spec.master_seed, "knn_tie", rep),
+                predictors[m.method_id] = _eval_comparator(
+                    m.config, X_tr, y_tr, (spec.master_seed, "knn_tie", rep)
                 )
-            if pred is None:
-                out[m.method_id] = math.nan
-            else:
-                out[m.method_id] = float(np.mean(pred != y_te))
         except RpensError:
-            out[m.method_id] = math.nan
+            predictors[m.method_id] = None
+    _wait(pending)
+    out = {}
+    for method_id, predict in predictors.items():
+        try:
+            out[method_id] = math.nan if predict is None else float(np.mean(predict(X_te) != y_te))
+        except RpensError:
+            out[method_id] = math.nan
     if all(math.isnan(v) for v in out.values()):
         raise ExperimentError(
             f"every method failed or refused in repetition {rep}"
@@ -217,13 +244,15 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         sample = dg.load_labelled_csv(spec.source.path)
         pool = (sample.X, sample.y)
 
-    rep_results = [_run_rep(spec, pool, rep) for rep in range(spec.repetitions)]
+    # The executor starts its thread at the first fill, and leaving the block joins it.
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        has_mask = hasattr(os, "sched_getaffinity")  # Linux; elsewhere count every CPU
+        cpus = len(os.sched_getaffinity(0)) if has_mask else (os.cpu_count() or 1)
+        helper = executor if cpus >= 2 else None
+        rep_results = [_run_rep(spec, pool, rep, helper) for rep in range(spec.repetitions)]
 
     errors = {
-        m.method_id: np.array(
-            [rep_results[rep][m.method_id] for rep in range(spec.repetitions)],
-            dtype=np.float64,
-        )
+        m.method_id: np.array([res[m.method_id] for res in rep_results], dtype=np.float64)
         for m in spec.methods
     }
     return ExperimentResult(spec=spec, errors=errors)

@@ -312,3 +312,16 @@ DAMAGED_MODELS = {
         lambda o: o["projections"][0].update(entries=_array_record(np.full((2, 5), np.nan)))
     ),
 }
+
+
+# What a single-character edit puts in place of a character, besides
+# nothing and the character twice.
+_FUZZ_INSERTS = (",", '"', "#", "\r", "nan", "1_0", "\ufeff")
+
+
+def single_character_edits(text):
+    """Every copy of text with one character deleted, doubled or replaced
+    by one of the fuzz inserts."""
+    for i, char in enumerate(text):
+        for middle in ("", char * 2) + _FUZZ_INSERTS:
+            yield text[:i] + middle + text[i + 1:]

@@ -14,7 +14,7 @@ import rpens
 from rpens import datagen as dg
 from rpens.cli import main
 
-from conftest import DAMAGED_MODELS
+from conftest import DAMAGED_MODELS, single_character_edits
 
 
 def _read(path):
@@ -226,6 +226,44 @@ class TestFitPredict:
         ])
         assert code == 2
         assert "projected dimension required" in capsys.readouterr().err
+
+
+_FUZZ_CONFIG = (
+    "# fuzzed fit settings\n"
+    "d = 2\n"
+    "base = lda\n"
+    "B1 = 4\n"
+    "B2 = 3\n"
+    "alpha = 0.5\n"
+    "seed = 5\n"
+    "projection = haar\n"
+    "threads = 2\n"
+)
+
+
+def test_single_character_edits_of_a_config_fit_or_exit_2_or_3(tmp_path, capsys):
+    drawn = dg.sample(dg.ModelSpec(model_id=1, p=4, mean_shift=2.0), 30, np.random.default_rng(8))
+    train = tmp_path / "train.csv"
+    train.write_text(
+        "label,x1,x2,x3,x4\n"
+        + "".join(f"{label},{','.join(map(repr, row))}\n"
+                  for label, row in zip(drawn.y.tolist(), drawn.X.tolist())),
+        encoding="utf-8",
+    )
+    cfg, model = tmp_path / "fit.cfg", tmp_path / "model.json"
+    argv = ["fit", "--train", str(train), "--model-out", str(model), "--config", str(cfg)]
+    cfg.write_text(_FUZZ_CONFIG, encoding="utf-8")
+    assert main(argv) == 0
+    variants = sorted(set(single_character_edits(_FUZZ_CONFIG)))
+    assert len(variants) > 600
+    codes = set()
+    for text in variants:
+        cfg.write_text(text, encoding="utf-8", newline="")
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 2, 3), repr(text)
+        codes.add(code)
+    assert codes == {0, 2, 3}
 
 
 class TestExitCodes:

@@ -8,10 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from rpens import _blas
 from rpens import datagen as dg
 from rpens import rng
 from rpens.cli import main
 from rpens.errors import DataFormatError
+
+from conftest import single_character_edits
 
 
 def _gen(seed=0):
@@ -111,10 +114,66 @@ class TestSampling:
         for r in (1, 2):
             gen = _gen(12)
             clone = copy.deepcopy(gen)
-            got = dg._sample_class(spec, r, 40, gen)
+            got = np.empty((40, p))
+            for call in dg._fill_steps(spec, np.full(40, r), got, np.empty((40, p)), gen):
+                call()  # one class
             L = np.linalg.cholesky(der["sigma"][r - 1])
             want = (der["mu"][r - 1] + clone.standard_normal((40, p)) @ L.T) @ R.T
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [4, 500])
+    @pytest.mark.parametrize("n,pi_1", [(1, 0.5), (2, 0.5), (7, 0.5), (1000, 0.5), (5, 0.01)])
+    def test_model4_draw_matches_row_scatter(self, p, n, pi_1):
+        # The class-ordered draw moved into label order equals the scatter
+        # of one product per class into that class's rows, bit for bit.
+        spec = dg.ModelSpec(model_id=4, p=p, pi_1=pi_1)
+        der = dg._derived(spec)
+
+        @_blas.single_thread  # as the sampler runs; the thread count moves last bits
+        def row_scatter(gen):
+            y = np.where(gen.random(n) < pi_1, 1, 2).astype(np.int64)
+            X = np.empty((n, p))
+            for r in (1, 2):
+                mask = y == r
+                if mask.any():
+                    z = gen.standard_normal((int(mask.sum()), p))
+                    X[mask] = z @ der["factor"][r - 1] + der["rotated_mu"][r - 1]
+            return X, y
+
+        X, y = row_scatter(_gen(13))
+        got = dg.sample(spec, n, _gen(13))
+        assert got.y.tobytes() == y.tobytes()
+        assert got.X.tobytes() == X.tobytes()
+        if pi_1 == 0.01:
+            assert y.tolist() == [2] * n  # the draw has an empty class
+
+    @pytest.mark.parametrize("pi_1", [0.5, 0.01])
+    def test_model4_calls_draw_nothing_and_may_lag(self, pi_1):
+        # The iteration draws every normal, so the calls it yields may run
+        # after it ends, on another thread, and the sample is the same.
+        spec = dg.ModelSpec(model_id=4, p=7, pi_1=pi_1)
+        want = dg.sample(spec, 50, _gen(15))
+        gen = _gen(15)
+        y, X, fill = dg._start_sample(spec, 50, gen)
+        calls = list(fill)
+        state = copy.deepcopy(gen.bit_generator.state)
+        for call in calls:
+            call()
+        assert gen.bit_generator.state == state
+        assert y.tobytes() == want.y.tobytes() and X.tobytes() == want.X.tobytes()
+
+    def test_model4_draw_peaks_under_one_and_a_half_samples(self):
+        # The sample and one buffer of normals as tall as the larger class;
+        # a scatter of per-class products peaked at twice the sample.
+        spec = dg.ModelSpec(model_id=4, p=500)
+        dg._derived(spec)
+        tracemalloc.start()
+        try:
+            s = dg.sample(spec, 10_000, _gen(14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * s.X.nbytes
 
     def test_with_eta_attaches_posterior(self):
         spec = dg.ModelSpec(model_id=1, p=3)
@@ -331,7 +390,9 @@ _CASES = {
     "quoted_comment": ('"#x",1\nlabel,x\n1,2\n', False, [[2.0]]),
     "quoted_line_break": ('label,x\n1,"0.5\n"\n', False, [[0.5]]),
     # the quoted header name spans three lines, so csv reads a 3-column header
-    "quote_spanning_lines": ('label,"x\n1,2\n#",y\n1,5\n', False, r":2: expected 3 columns, got 2"),
+    "quote_spanning_lines": ('label,"x\n1,2\n#",y\n1,5\n', False, r":4: expected 3 columns, got 2"),
+    # the record before the bad label spans lines 2 and 3
+    "bad_label_after_quoted_line_break": ('label,x\n1,"0.5\n"\n3,1\n', False, r":4: label must be 1 or 2, got '3'"),
     "blank_lines": ("\nlabel,x\n\n1,0.5\n\n\n2,1\n\n", True, [[0.5], [1.0]]),
     "whitespace_line": ("label,x\n1,0.5\n   \n2,1\n", False, r":3: expected 2 columns, got 1"),
     "whitespace_line_first": (" \t\nlabel,x\n1,2\n", False, r":1: first header column must be 'label'"),
@@ -524,22 +585,14 @@ class TestCellByCellParse:
         assert peak < 2 * drawn.X.nbytes + 2_000_000, f"traced peak {peak} bytes"
 
 
-# A small well-formed labelled file, and what each single-character edit puts
-# in place of a character: nothing, the character twice, or one of these.
+# A small well-formed labelled file.
 _FUZZ_BASE = "# c\nlabel,x,y\n1,0.5,-2\n2,1e3,3\n"
-_FUZZ_INSERTS = (",", '"', "#", "\r", "nan", "1_0", "\ufeff")
-
-
-def _single_edits(text):
-    for i, char in enumerate(text):
-        for middle in ("", char * 2) + _FUZZ_INSERTS:
-            yield text[:i] + middle + text[i + 1:]
 
 
 @pytest.mark.filterwarnings("error")
 def test_single_character_edits_load_or_raise_a_data_error(tmp_path):
     f = tmp_path / "data.csv"
-    variants = sorted(set(_single_edits(_FUZZ_BASE)))
+    variants = sorted(set(single_character_edits(_FUZZ_BASE)))
     assert len(variants) > 200
     for text in variants:
         f.write_bytes(text.encode("utf-8"))

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -209,6 +212,123 @@ class TestRun:
         )
         _, se, n_valid = ev.run(spec).summary()["rp"]
         assert se == 0.0 and n_valid == 1
+
+
+def _cpus(monkeypatch, count):
+    """Make ``run`` see ``count`` CPUs in the process's affinity mask."""
+    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestTestSampleFill:
+    """The test features fill on a helper thread, or inline on one CPU, and
+    the ensembles fit after the fill."""
+
+    def _spec(self, source):
+        methods = (
+            _rp_method("rp"),
+            ev.MethodSpec("lda", ev.ComparatorSpec("lda")),
+            _rp_method("rp2", base="qda", master_seed=3),
+        )
+        return ev.ExperimentSpec(
+            source=source, n_train=40, n_test=300, repetitions=3,
+            methods=methods, master_seed=21,
+        )
+
+    @staticmethod
+    def _record_fill_calls(monkeypatch, events, delay=0.0):
+        """Append (event, thread) around every call that fills a test sample,
+        which first sleeps ``delay`` seconds."""
+        steps = dg._fill_steps
+
+        def recording(spec, y, *args):
+            for call in steps(spec, y, *args):
+                if len(y) != 300:  # a training sample
+                    yield call
+                    continue
+
+                def recorded(call=call):
+                    events.append(("start", threading.current_thread()))
+                    time.sleep(delay)
+                    result = call()
+                    events.append(("end", threading.current_thread()))
+                    return result
+
+                yield recorded
+
+        monkeypatch.setattr(dg, "_fill_steps", recording)
+
+    # Model 1 draws on the caller; model 4 hands over two products, two
+    # shifts and the move into label order.
+    @pytest.mark.parametrize("source,calls", [(_gauss_model(), 0), (dg.ModelSpec(model_id=4, p=6), 5)])
+    def test_helper_and_inline_fills_give_identical_errors(self, monkeypatch, source, calls):
+        spec = self._spec(source)
+        events = []
+        self._record_fill_calls(monkeypatch, events)
+        results, threads = {}, {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            results[cpus] = ev.run(spec).errors
+            threads[cpus] = [t for e, t in events if e == "start"]
+            events.clear()
+        for mid in ("rp", "lda", "rp2"):
+            assert results[1][mid].tobytes() == results[2][mid].tobytes()
+        main = threading.main_thread()
+        assert threads[1] == [main] * 3 * calls
+        assert len(threads[2]) == 3 * calls and main not in threads[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ensembles_fit_after_the_fill(self, monkeypatch, cpus):
+        # Nothing fills beside an ensemble fit, so its time does not depend
+        # on a second CPU being free.
+        _cpus(monkeypatch, cpus)
+        events = []
+        self._record_fill_calls(monkeypatch, events, delay=0.02)  # a fill slower than a fit
+        seen = []
+        fit = en.fit
+
+        def recording_fit(*args, **kwargs):
+            seen.append([e for e, _ in events])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(en, "fit", recording_fit)
+        ev.run(self._spec(dg.ModelSpec(model_id=4, p=6)))
+        # two ensembles a repetition, each after that repetition's five calls
+        assert [len(e) for e in seen] == [10, 10, 20, 20, 30, 30]
+        assert all(e == ["start", "end"] * (len(e) // 2) for e in seen)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_thread_outlives_run(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        ev.run(self._spec(_gauss_model()))
+        assert threading.active_count() == before
+        failing = ev.ExperimentSpec(
+            source=_gauss_model(p=10), n_train=12, n_test=10, repetitions=2,
+            methods=(ev.MethodSpec("lda", ev.ComparatorSpec("lda")),), master_seed=0,
+        )
+        with pytest.raises(errors.ExperimentError):
+            ev.run(failing)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("source", [_gauss_model(), dg.ModelSpec(model_id=4, p=6)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fill_exception_surfaces_unchanged(self, monkeypatch, cpus, source):
+        _cpus(monkeypatch, cpus)
+        boom = MemoryError("test draw failed")
+
+        def failing(*args):
+            yield partial(_raise, boom)
+
+        monkeypatch.setattr(dg, "_fill_steps", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            ev.run(self._spec(source))
+        assert info.value is boom
+        assert threading.active_count() == before
+
+
+def _raise(exc):
+    raise exc
 
 
 class TestCsvSource:
