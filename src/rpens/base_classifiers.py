@@ -64,10 +64,15 @@ def _check_labelled(Z, y):
         raise ShapeMismatchError("training points must form a 2-d array")
     if y.shape != (Z.shape[0],):
         raise ShapeMismatchError("labels must be one per training point")
+    return Z, _class_labels(y)
+
+
+def _class_labels(y):
+    """An int64 copy of the label array y, refusing any label outside {1, 2}."""
     # A boolean array would read True as class 1; refuse it with the rest.
     if y.dtype == bool or not ((y == 1) | (y == 2)).all():
         raise ValueError("labels must take values in {1, 2}")
-    return Z, y.astype(np.int64)
+    return y.astype(np.int64)
 
 
 def _class_moments(Z, y):
@@ -506,7 +511,8 @@ def fit_knn(Z, y, k=None, tie_seed=0, point_ids=None) -> KnnModel:
     A single-class sample is allowed; prediction then returns the stored
     majority. point_ids give each point a stable identity for the
     tie-break stream, so reordering the sample or deleting points does
-    not change how the remaining ties resolve. Defaults to 0..n-1.
+    not change how the remaining ties resolve. Defaults to 0..n-1.  The
+    model keeps a copy of Z, never a view of a larger stack of images.
     """
     Z, y = _check_labelled(Z, y)
     n = len(y)
@@ -522,7 +528,7 @@ def fit_knn(Z, y, k=None, tie_seed=0, point_ids=None) -> KnnModel:
         point_ids = np.asarray(point_ids, dtype=np.int64)
         if point_ids.shape != (n,) or len(np.unique(point_ids)) != n:
             raise ShapeMismatchError("point_ids must be one distinct id per point")
-    return KnnModel(points=Z, labels=y, k=int(k), tie_seed=int(tie_seed), point_ids=point_ids)
+    return KnnModel(points=Z.copy(), labels=y, k=int(k), tie_seed=int(tie_seed), point_ids=point_ids)
 
 
 def _tie_key(tie_seed, pid, query_bytes):

@@ -192,7 +192,7 @@ _CONFIG_STR_KEYS = ("base", "estimator", "projection")
 
 
 def _read_config_file(path) -> dict:
-    values = {}
+    values, seen = {}, {}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -207,6 +207,9 @@ def _read_config_file(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(f"{path}:{line_no}: config key {key!r} repeats line {seen[key]}")
+        seen[key] = line_no
         try:
             if key in _CONFIG_INT_KEYS:
                 values[key] = int(value)
@@ -215,7 +218,7 @@ def _read_config_file(path) -> dict:
             elif key in _CONFIG_STR_KEYS:
                 values[key] = value
             else:
-                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
     return values

@@ -11,13 +11,13 @@ Fits run serially.  Everything downstream of the master seed is
 deterministic: every projection and every tie-break stream is derived from
 a keyed seed, never from call order.  Candidates are sampled and projected
 in waves of max(1, (p // d) // B2) whole blocks: each Haar candidate draws
-its own Gaussian, a wave shares one stacked QR call, and its images come
-from one product of X with the stacked matrices of each group of at most
-p // d candidates, so a product may span blocks but is never wider than X.
-Each block is still scored and selected on its own.  At prediction time
-qda and knn winners project the test points the same way; an lda winner's
-rule is affine in x, so it folds to one p-vector and all lda winners vote
-through one product, except on a row within rounding of a boundary.
+its own Gaussian, a wave shares one stacked QR call, and its images are
+views of one product of X with the stacked matrices of each group of at
+most p // d candidates, so a product may span blocks but is never wider
+than X.  Each block is copied out of it once and scored on its own.  At
+prediction time qda and knn winners project the test points the same way;
+an lda winner's rule is affine in x, so it folds to one p-vector and all
+lda winners vote through one product, except near a boundary.
 
 Blocks of lda and qda candidates under resubstitution and of qda
 candidates under leave-one-out are scored as a stack: batched class
@@ -43,7 +43,6 @@ projects one block at a time.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -165,10 +164,6 @@ class _BlockResult:
     vote_labels: np.ndarray
     candidate_counts: np.ndarray
 
-    @property
-    def error_count(self) -> int:
-        return self.estimate.errors
-
 
 def _base_spec(cfg: EnsembleConfig, tie_seed: int) -> bc.BaseSpec:
     return bc.BaseSpec(kind=cfg.base, k=cfg.knn_k, tie_seed=tie_seed)
@@ -183,15 +178,15 @@ def _sample_projections(cfg: EnsembleConfig, p: int, keys) -> list:
 
 
 def _projected(X, projections):
-    """Yield each projection's image of X, one stacked product per group.
+    """The (k, n, d) images of X by k projections of one d, one product per group.
 
     A group holds at most p // d projections, so that its stacked image is
-    never wider than X.  A fit passes a whole wave of blocks, so one group
-    may hold the candidates of several blocks.
+    never wider than X.  One group's images are a view of its product; only
+    a block that spans several groups (B2 > p // d) is concatenated.
     """
-    size = max(1, X.shape[-1] // max(proj.d for proj in projections))
-    for start in range(0, len(projections), size):
-        yield from pj._apply_stack(projections[start:start + size], X)
+    size = max(1, X.shape[-1] // projections[0].d)
+    groups = [pj._apply_stack(projections[i:i + size], X) for i in range(0, len(projections), size)]
+    return groups[0] if len(groups) == 1 else np.concatenate(groups)
 
 
 def _lda_votes(projections, models):
@@ -212,7 +207,7 @@ def _lda_votes(projections, models):
         out = (f >= 0.0).T
         for i in np.flatnonzero(near.any(axis=0)):
             idx = np.flatnonzero(near[:, i])
-            Z = next(pj._apply_stack([projections[i]], rows[idx]))
+            Z = pj._apply_stack([projections[i]], rows[idx])[0]
             out[i, idx] = models[i].predict_many(Z) == 1
         return out
 
@@ -248,7 +243,7 @@ _STACKED_SCORERS = {
 
 
 def _stacked_counts(images, y, kind, estimator):
-    """Every candidate's error count from one pass over the stacked images.
+    """Every candidate's error count from one pass over the (B2, n, d) images.
 
     Returns None, to send the block down the scalar loop, in the cases the
     module docstring lists except the winner's re-score, which _select
@@ -258,9 +253,8 @@ def _stacked_counts(images, y, kind, estimator):
     scorer = _STACKED_SCORERS.get((kind, estimator))
     if scorer is None:
         return None
-    y = np.asarray(y, dtype=np.int64)  # as _estimate_full reads it
     try:
-        delta, pivot = scorer(np.stack(images), y)
+        delta, pivot = scorer(images, y)
     except (np.linalg.LinAlgError, *bc._REFIT_ERRORS):
         return None
     size = np.abs(delta)
@@ -283,7 +277,8 @@ def _first_minimum(counts):
 def _select(images, y, candidates, estimator, point_ids=None) -> _BlockResult:
     """Fit the (projection, BaseSpec) candidates and keep the first minimum.
 
-    ``images[i]`` is candidate i's image of the training points.  Every
+    ``images[i]`` is candidate i's image of the training points, copied once
+    into the stack that the stacked scorer and the scalar loop read.  Every
     candidate's error count is recorded, -1 where it failed to fit, and
     _first_minimum picks the winner, so ties go to the smallest index.  Its
     per-point labels are its leave-one-out or in-sample predictions, the
@@ -293,6 +288,7 @@ def _select(images, y, candidates, estimator, point_ids=None) -> _BlockResult:
     minimum is re-scored through _estimate_full (see the module docstring).
     """
     candidates = list(candidates)
+    images = np.ascontiguousarray(images)
     counts = _stacked_counts(images, y, candidates[0][1].kind, estimator)
     if counts is not None:
         idx = _first_minimum(counts)
@@ -325,14 +321,13 @@ def _run_blocks(cfg, X, y, b1s, key_head=()) -> list:
     A wave holds max(1, (p // d) // B2) blocks.  Its candidates are sampled
     together and projected with one product per p // d of them (see
     _projected), so a wave's product is no wider than X unless a single
-    block's is (B2 > p // d).  Each block's images are copied out of it in
-    turn and selected on their own.
+    block's is (B2 > p // d).  Each block's images, a slice of the wave's
+    view, are copied out in turn by _select and selected on their own.
     """
     p = X.shape[1]
     per_wave = max(1, (p // cfg.d) // cfg.B2)
     # Only kNN reads a tie seed, so lda and qda derive none.
     knn = cfg.base == "knn"
-    b1s = list(b1s)
     blocks = []
     for start in range(0, len(b1s), per_wave):
         wave = b1s[start:start + per_wave]
@@ -347,8 +342,7 @@ def _run_blocks(cfg, X, y, b1s, key_head=()) -> list:
             block = slice(i * cfg.B2, (i + 1) * cfg.B2)
             try:
                 blocks.append(_select(
-                    list(itertools.islice(images, cfg.B2)), y,
-                    zip(projections[block], specs[block]), cfg.estimator_name,
+                    images[block], y, zip(projections[block], specs[block]), cfg.estimator_name,
                 ))
             except BlockFailureError as exc:
                 raise BlockFailureError(f"{exc} in block {b1}") from None
@@ -374,7 +368,7 @@ def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
         raise InvalidDimensionError(f"a block's projections must share one dimension, got {dims}")
     X, y = _training_data(X, y, ())
     candidates = ((proj, base_spec) for proj in block)
-    blk = _select(list(_projected(X, block)), y, candidates, estimator, point_ids)
+    blk = _select(_projected(X, block), y, candidates, estimator, point_ids)
     return blk.projection, blk.estimate, blk.model
 
 
@@ -384,14 +378,12 @@ def _check_finite(X) -> None:
 
 
 def _training_data(X, y, ds):
-    """X as float64 and y as an array, checked before any fitting.
+    """X as float64 and y as an int64 copy, checked before any fitting.
 
     Refuses unlabelled or non-finite data, any projected dimension in
     ``ds`` outside [1, p] and data that lacks a class.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    bc._check_labelled(X, y)
+    X, y = bc._check_labelled(X, y)
     _check_finite(X)
     p = X.shape[1]
     for d in ds:
@@ -423,7 +415,7 @@ def fit(X, y, cfg: EnsembleConfig) -> EnsembleModel:
         base_models=tuple(blk.model for blk in blocks),
         alpha_hat=alpha_hat,
         train_vote_counts=vote_counts,
-        train_labels=y.astype(np.int64, copy=True),
+        train_labels=y,
         winner_indices=tuple(blk.winner_index for blk in blocks),
         block_error_counts=np.stack([blk.candidate_counts for blk in blocks]),
         block_m=blocks[0].estimate.m,
@@ -458,8 +450,8 @@ def _vote_table(counts, labels, b1):
 
     Returns (distinct, below1, below2, n1, n2): ``distinct`` holds the
     sorted distinct values of ``counts`` and ``below_r[j]`` the number of
-    class-r votes (class 2 being every label other than 1) with a count
-    smaller than ``distinct[j]``.  Counts must be nonnegative.
+    class-r votes with a count smaller than ``distinct[j]``.  Counts must
+    be nonnegative and labels in {1, 2}.
     """
     class1 = labels == 1
     hist1 = np.bincount(counts[class1], minlength=b1 + 1)
@@ -482,14 +474,18 @@ def estimate_alpha(vote_counts, labels, b1, priors=None) -> Fraction:
     1 is nudged inward to 1/(2*B1) and 1 - 1/(2*B1).
 
     ``priors`` defaults to the empirical class proportions of ``labels``;
-    an explicit class-1 prior must lie in (0, 1).
+    an explicit class-1 prior must lie in (0, 1).  Counts that are not
+    integers in [0, b1] and labels outside {1, 2} raise ValueError.
     """
-    counts = np.asarray(vote_counts, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if counts.shape != labels.shape or counts.ndim != 1:
+    counts = np.asarray(vote_counts, dtype=np.float64)
+    if counts.shape != np.shape(labels) or counts.ndim != 1:
         raise ShapeMismatchError("vote counts and labels must be matching 1-d arrays")
+    labels = bc._class_labels(np.asarray(labels))
+    if not (counts == np.round(counts)).all():
+        raise ValueError("vote counts must be integers")
     if counts.size and not (0 <= counts.min() and counts.max() <= b1):
         raise ValueError(f"vote counts must lie in [0, {b1}]")
+    counts = counts.astype(np.int64)
     if priors is not None and not 0 < priors[0] < 1:
         raise ValueError(f"class-1 prior must lie in (0, 1), got {priors[0]}")
     distinct, below1, below2, n1, n2 = _vote_table(counts, labels, b1)
@@ -566,7 +562,7 @@ def select_d_profile(X, y, candidate_ds, cfg: EnsembleConfig):
     for d in candidates:
         cfg_d = replace(cfg, d=d)
         profile[d] = np.array(
-            [blk.error_count for blk in _run_blocks(cfg_d, X, y, range(cfg.B1), key_head=(d,))],
+            [blk.estimate.errors for blk in _run_blocks(cfg_d, X, y, range(cfg.B1), key_head=(d,))],
             dtype=np.int64,
         )
     # min keeps the first of equal totals, and the candidates ascend.

@@ -131,29 +131,22 @@ def apply(projection: Projection, X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
-        return next(_apply_stack([projection], X[None, :]))[0]
-    return next(_apply_stack([projection], X))
+        return _apply_stack([projection], X[None, :])[0, 0]
+    return _apply_stack([projection], X)[0]
 
 
-def _apply_stack(projections, X: np.ndarray):
-    """Project an (n, p) array by several projections with one matrix product.
+def _apply_stack(projections, X: np.ndarray) -> np.ndarray:
+    """Project an (n, p) array by k projections of one d with one matrix product.
 
-    Stacks the projections' entries into one matrix S and computes
-    X @ S.T once.  Returns an iterator over one C-contiguous (n, d) array
-    per projection, each copied out of the product only when it is asked
-    for, so a consumer that drops each image in turn never holds a second
-    copy of the whole product.  Each equals its own product X @ A.T except
-    that BLAS may move the last bits with the shape of the product.
+    Stacks the projections' entries into one matrix S, computes X @ S.T
+    once and returns the (k, n, d) view of that product whose [i] is
+    projection i's image.  Nothing is copied: an image is C-contiguous
+    only when k is 1, and a consumer that needs a contiguous stack copies
+    the images it reads.  Each equals its own product X @ A.T except that
+    BLAS may move the last bits with the shape of the product.
     """
     X = np.asarray(X, dtype=np.float64)
-    for proj in projections:
-        if X.ndim != 2 or X.shape[1] != proj.p:
-            raise ShapeMismatchError(
-                f"expected points with {proj.p} features, got shape {X.shape}"
-            )
+    if X.ndim != 2 or any(proj.p != X.shape[1] for proj in projections):
+        raise ShapeMismatchError(f"expected points with {projections[0].p} features, got shape {X.shape}")
     image = X @ np.concatenate([proj.entries for proj in projections]).T
-    ends = np.cumsum([proj.d for proj in projections])
-    return (
-        np.ascontiguousarray(image[:, end - proj.d:end])
-        for proj, end in zip(projections, ends)
-    )
+    return image.reshape(X.shape[0], len(projections), projections[0].d).swapaxes(0, 1)

@@ -206,7 +206,19 @@ class TestFitPredict:
             str(tmp_path / "m.json"), "--config", str(cfg),
         ])
         assert code == 2
-        assert "unknown config key" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: unknown config key 'blocks'" in err and err.count(str(cfg)) == 1
+
+    def test_config_key_given_twice_is_usage_error(self, tmp_path, synthetic_csv, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("d = 2\n# d again\nd = 5\n", encoding="utf-8")
+        code = main([
+            "fit", "--train", str(synthetic_csv), "--model-out",
+            str(tmp_path / "m.json"), "--config", str(cfg),
+        ])
+        assert code == 2
+        assert f"{cfg}:3: config key 'd' repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_config_file_not_utf8_is_3(self, tmp_path, synthetic_csv, capsys):
         cfg = tmp_path / "latin1.cfg"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -542,6 +543,15 @@ class TestFit:
             counts += labels == 1
         np.testing.assert_array_equal(m.train_vote_counts, counts)
 
+    def test_knn_winners_keep_only_their_own_image(self):
+        # A winner fitted on a view of its block's stack would keep all B2
+        # images alive for the life of the model.
+        X, y = make_blobs(12, 4, 1.0, seed=54)
+        m = en.fit(X, y, en.EnsembleConfig(B1=3, B2=4, d=2, base="knn", knn_k=3, master_seed=6))
+        for proj, model in zip(m.projections, m.base_models):
+            assert model.points.base is None and model.points.shape == (len(y), 2)
+            np.testing.assert_array_equal(model.points, proj.apply(X))
+
     def test_single_block_reduces_to_winner(self):
         X, y = make_blobs(15, 5, 2.5, seed=55)
         cfg = en.EnsembleConfig(B1=1, B2=4, d=2, base="lda", master_seed=1)
@@ -616,6 +626,33 @@ class TestFit:
         y = np.array([1] * 4 + [2] * 4)
         with pytest.raises(errors.BlockFailureError):
             en.fit(X, y, en.EnsembleConfig(B1=2, B2=3, d=1, base="qda"))
+
+    @pytest.mark.parametrize("base", ["lda", "qda"])
+    def test_fit_peaks_under_two_point_two_samples(self, base):
+        # Images stay a view of each wave's product and every block is
+        # copied out once: 1.81 (lda) and 1.96 (qda) times X.  A contiguous
+        # copy of the whole wave would peak at 2.41.
+        s = datagen.sample(datagen.ModelSpec(model_id=4, p=400), 1000, rng.make_rng(90))
+        cfg = en.EnsembleConfig(B1=10, B2=10, d=5, base=base, master_seed=3)
+        en.fit(s.X, s.y, cfg)  # warms the caches
+        tracemalloc.start()
+        try:
+            en.fit(s.X, s.y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * s.X.nbytes
+
+    def test_labels_of_any_numeric_dtype_fit_alike_and_are_copied(self):
+        X, y = make_blobs(15, 5, 1.0, seed=59)
+        cfg = en.EnsembleConfig(B1=3, B2=4, d=2, base="qda", master_seed=2)
+        fits = [en.fit(X, y.astype(dtype), cfg) for dtype in (np.int64, np.int32, np.float64)]
+        assert len({serialize.dumps(m) for m in fits}) == 1
+        labels = y.astype(np.int64)
+        m = en.fit(X, labels, cfg)
+        labels[:] = 3 - labels
+        assert m.train_labels.dtype == np.int64
+        np.testing.assert_array_equal(m.train_labels, y)
 
 
 @pytest.fixture(scope="module")
@@ -860,6 +897,23 @@ class TestEstimateAlpha:
         with pytest.raises(ValueError, match=r"vote counts must lie in \[0, 3\]"):
             en.estimate_alpha(counts, [1, 2, 1, 2, 1, 2], 3)
 
+    @pytest.mark.parametrize("counts, labels, match", [
+        # int64 would truncate these to [0, 1, 2, 0] and return 5/6
+        ([0.5, 1.5, 2.9, 0.2], [1, 2, 2, 1], "vote counts must be integers"),
+        # 3.7 truncates to 3, inside [0, b1]
+        ([3.7, 1, 2, 0], [1, 2, 2, 1], "vote counts must be integers"),
+        ([np.nan, 1, 2, 0], [1, 2, 2, 1], "vote counts must be integers"),
+        # the vote table counts every label other than 1 as class 2
+        ([0, 1, 2, 0], [1, 2, 3, 1], r"labels must take values in \{1, 2\}"),
+        ([0, 1, 2, 0], [True, False, False, True], r"labels must take values in \{1, 2\}"),
+    ], ids=["fractional", "fractional_above_b1", "nan", "label_3", "boolean_labels"])
+    def test_fractional_counts_and_labels_outside_one_two_rejected(self, counts, labels, match):
+        """Counts that are not integers and labels outside {1, 2} raise, not truncate or miscount."""
+        with pytest.raises(ValueError, match=match):
+            en.estimate_alpha(counts, labels, 3)
+        # Integral floats are integer counts, and float labels are labels.
+        assert en.estimate_alpha([0.0, 1.0, 2.0, 0.0], [1.0, 2.0, 2.0, 1.0], 3) == Fraction(5, 6)
+
     @pytest.mark.parametrize("prior", [1.5, -2, 0, 1, Fraction(1), float("nan")])
     def test_priors_outside_zero_to_one_rejected(self, prior):
         with pytest.raises(ValueError, match=r"class-1 prior must lie in \(0, 1\)"):
@@ -1007,7 +1061,7 @@ class TestSelectD:
         cfg = en.EnsembleConfig(B1=3, B2=2, d=1, base="lda", master_seed=2)
         _, profile = en.select_d_profile(X, y, [2], cfg)
         blocks = en._run_blocks(en.replace(cfg, d=2), X, y, range(3), key_head=(2,))
-        assert profile[2].tolist() == [blk.error_count for blk in blocks]
+        assert profile[2].tolist() == [blk.estimate.errors for blk in blocks]
 
     def test_thread_invariance(self):
         X, y = self._data()
