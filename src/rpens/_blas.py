@@ -7,15 +7,23 @@ and the thread count moves the last bits of larger products.
 thread for the length of a call and gives the caller's count back
 afterwards.  With any other BLAS (MKL, a system library) no symbol is
 found and it does nothing.
+
+``helper`` gives the one thread that runs large matrix products beside
+the caller: a fit's next wave of projection products and the products
+of ``evaluation.run``'s test samples.  It runs BLAS calls into arrays
+that the caller allocates, inside the caller's pinned region.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
 import os
 import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy
 import scipy
@@ -76,3 +84,47 @@ def single_thread(fn):
                         set_(count)
 
     return wrapper
+
+
+class _Inline:
+    """An executor that runs each call on the caller as it is submitted.
+
+    Its futures are done when ``submit`` returns and keep a call's
+    exception for ``wait`` to raise, as the helper thread's do.
+    """
+
+    @staticmethod
+    def submit(fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+INLINE = _Inline()
+
+
+@contextlib.contextmanager
+def helper():
+    """An executor of one thread, joined on leaving the block, when the
+    process may use at least two CPUs; INLINE otherwise."""
+    has_mask = hasattr(os, "sched_getaffinity")  # Linux; elsewhere count every CPU
+    cpus = len(os.sched_getaffinity(0)) if has_mask else (os.cpu_count() or 1)
+    if cpus < 2:
+        yield INLINE
+        return
+    # The executor starts its thread at the first call.
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        yield executor
+
+
+def wait(pending) -> None:
+    """Wait for every future in ``pending``, raising the first one's
+    exception. It polls: on a shared 2-vCPU VM, blocking here let the vCPU
+    idle, and the work that follows ran slower and less steadily."""
+    for future in pending:
+        while not future.done():
+            time.sleep(0)  # gives up the interpreter lock
+        future.result()

@@ -185,7 +185,7 @@ def _cmd_simulate(args) -> int:
 # fit / predict
 
 
-# ``threads`` is accepted and ignored: fits run serially.
+# ``threads`` is accepted and ignored: a fit uses at most one helper thread.
 _CONFIG_INT_KEYS = ("d", "B1", "B2", "knn_k", "seed", "threads")
 _CONFIG_FLOAT_KEYS = ("alpha",)
 _CONFIG_STR_KEYS = ("base", "estimator", "projection")
@@ -393,7 +393,7 @@ def _cmd_bayes_risk(args) -> int:
 # parser
 
 
-_THREADS_HELP = "accepted and ignored: fits run serially"
+_THREADS_HELP = "accepted and ignored: a fit uses at most one helper thread"
 
 
 def _build_parser() -> argparse.ArgumentParser:

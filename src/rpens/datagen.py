@@ -264,6 +264,40 @@ def _cauchy_log_density(X):
     return -X.shape[1] * math.log(math.pi) - np.log1p(X * X).sum(axis=1)
 
 
+def _density_rows(spec: ModelSpec, X):
+    """(rows, single): X as float64 (n, p) rows, and whether it was one p-vector.
+
+    For model 4 the rows are rotated back, X R, once for both classes.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 1
+    if single:
+        X = X[None, :]
+    if X.shape[1] != spec.p:
+        raise ValueError(f"expected {spec.p} features, got {X.shape[1]}")
+    if spec.model_id == 4:
+        X = X @ _derived(spec)["rotation"]
+    return X, single
+
+
+def _class_log_density(spec: ModelSpec, r: int, X) -> np.ndarray:
+    """Class r's log density at each of the rows that _density_rows gives."""
+    der = _derived(spec)
+    if spec.model_id == 1:
+        return _laplace_log_density(X) if r == 1 else _gauss_log_density(X, der["mu2"])
+    if spec.model_id == 2:
+        return _t_log_density(
+            X, der["mu"][r - 1], der["inv"][r - 1], der["log_det"][r - 1], spec.dof[r - 1]
+        )
+    if spec.model_id == 3:
+        if r == 1:
+            a = _gauss_log_density(X, der["mu1"])
+            b = _gauss_log_density(X, -der["mu1"])
+            return np.logaddexp(a, b) - math.log(2.0)
+        return _cauchy_log_density(X[:, :5]) + _gauss_log_density(X[:, 5:], 0.0)
+    return _gauss_log_density(X, der["mu"][r - 1], der["inv"][r - 1], der["log_det"][r - 1])
+
+
 @_blas.single_thread
 def log_density(spec: ModelSpec, r: int, X) -> np.ndarray:
     """Class-conditional log density of class r at each row of X.
@@ -273,44 +307,20 @@ def log_density(spec: ModelSpec, r: int, X) -> np.ndarray:
     """
     if r not in (1, 2):
         raise ValueError("class label must be 1 or 2")
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != spec.p:
-        raise ValueError(f"expected {spec.p} features, got {X.shape[1]}")
-    der = _derived(spec)
-    if spec.model_id == 1:
-        out = _laplace_log_density(X) if r == 1 else _gauss_log_density(X, der["mu2"])
-    elif spec.model_id == 2:
-        out = _t_log_density(
-            X, der["mu"][r - 1], der["inv"][r - 1], der["log_det"][r - 1], spec.dof[r - 1]
-        )
-    elif spec.model_id == 3:
-        if r == 1:
-            a = _gauss_log_density(X, der["mu1"])
-            b = _gauss_log_density(X, -der["mu1"])
-            out = np.logaddexp(a, b) - math.log(2.0)
-        else:
-            out = _cauchy_log_density(X[:, :5]) + _gauss_log_density(X[:, 5:], 0.0)
-    else:
-        back = X @ der["rotation"]
-        out = _gauss_log_density(back, der["mu"][r - 1], der["inv"][r - 1], der["log_det"][r - 1])
+    X, single = _density_rows(spec, X)
+    out = _class_log_density(spec, r, X)
     return out[0] if single else out
 
 
 @_blas.single_thread
 def eta(spec: ModelSpec, X) -> np.ndarray:
     """Posterior probability of class 1 at each row of X."""
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
+    X, single = _density_rows(spec, X)
     margin = (
         math.log(spec.pi_1)
-        + log_density(spec, 1, X)
+        + _class_log_density(spec, 1, X)
         - math.log(1.0 - spec.pi_1)
-        - log_density(spec, 2, X)
+        - _class_log_density(spec, 2, X)
     )
     out = np.exp(log_expit(margin))
     return out[0] if single else out

@@ -7,17 +7,23 @@ base classifier is kept, and the ensemble's decision at a point is a vote
 among the ``B1`` survivors: predict class 1 when the fraction voting 1
 reaches the threshold ``alpha_hat``.
 
-Fits run serially.  Everything downstream of the master seed is
-deterministic: every projection and every tie-break stream is derived from
-a keyed seed, never from call order.  Candidates are sampled and projected
-in waves of max(1, (p // d) // B2) whole blocks: each Haar candidate draws
-its own Gaussian, a wave shares one stacked QR call, and its images are
-views of one product of X with the stacked matrices of each group of at
-most p // d candidates, so a product may span blocks but is never wider
-than X.  Each block is copied out of it once and scored on its own.  At
-prediction time qda and knn winners project the test points the same way;
-an lda winner's rule is affine in x, so it folds to one p-vector and all
-lda winners vote through one product, except near a boundary.
+Everything downstream of the master seed is deterministic: every
+projection and every tie-break stream is derived from a keyed seed, never
+from call order.  Candidates are sampled and projected in waves of
+max(1, (p // d) // B2) whole blocks: each Haar candidate draws its own
+Gaussian, a wave shares one stacked QR call and one stacked Gram check
+into a (k, d, p) array, and its images are views of one product of X
+with each group of at most p // d of those matrices, so a product may
+span blocks but is never wider than X.  While the caller selects a
+wave's blocks, one helper thread (``_blas.helper``) fills the products of
+the next wave, which the caller has sampled and allocated; with one CPU
+they run on the caller, and either way each product has the shape it has
+in a serial fit, so outputs do not change.  Each block is copied out of
+its wave's product once and scored on its own, and only its winner
+becomes a Projection, drawn again from its key.  At prediction time qda
+and knn winners project the test points the same way; an lda winner's
+rule is affine in x, so it folds to one p-vector and all lda winners vote
+through one product, except near a boundary.
 
 Blocks of lda and qda candidates under resubstitution and of qda
 candidates under leave-one-out are scored as a stack: batched class
@@ -33,8 +39,9 @@ below its tolerance, when a discriminant lies within rounding of 0, and
 when the winner re-scores to another count.
 
 The public entries that run BLAS (``fit``, ``votes_many``, ``select_d_profile``,
-``select_block_winner``) run the bundled OpenBLAS on one thread and restore
-the caller's thread count on return, so their results do not depend on it.
+``select_block_winner``) run the bundled OpenBLAS on one thread, the
+helper's products included, and restore the caller's thread count on
+return, so their results do not depend on it.
 Bit-identical outputs hold for one numpy/BLAS build: BLAS does not promise
 that a stacked product equals the separate products in every bit, so when
 B2 < p // d the last bits of stored floats may differ from a fit that
@@ -169,24 +176,50 @@ def _base_spec(cfg: EnsembleConfig, tie_seed: int) -> bc.BaseSpec:
     return bc.BaseSpec(kind=cfg.base, k=cfg.knn_k, tie_seed=tie_seed)
 
 
-def _sample_projections(cfg: EnsembleConfig, p: int, keys) -> list:
-    """One projection per stream key; Haar draws share one stacked QR call."""
+def _sample_projections(cfg: EnsembleConfig, p: int, keys) -> np.ndarray:
+    """The (k, d, p) stack of one projection per stream key; Haar draws share one stacked QR call."""
     rngs = [make_rng(cfg.master_seed, *key) for key in keys]
     if cfg.projection_kind == "haar":
         return pj._sample_haar_stack(p, cfg.d, rngs)
-    return [pj.sample_axis_aligned(p, cfg.d, rng) for rng in rngs]
+    return np.stack([pj.sample_axis_aligned(p, cfg.d, rng).entries for rng in rngs])
 
 
-def _projected(X, projections):
-    """The (k, n, d) images of X by k projections of one d, one product per group.
+def _submit_products(X, stack, helper):
+    """Futures of the images of X by each group of at most p // d matrices of a (k, d, p) stack.
 
-    A group holds at most p // d projections, so that its stacked image is
-    never wider than X.  One group's images are a view of its product; only
-    a block that spans several groups (B2 > p // d) is concatenated.
+    A group's image, a (k_i, n, d) view of its product, is never wider than
+    X.  The caller allocates each product and ``helper`` runs only the
+    BLAS call into it: allocations on a helper thread went to that
+    thread's own malloc arena and raised the peak RSS of a fit.
     """
-    size = max(1, X.shape[-1] // projections[0].d)
-    groups = [pj._apply_stack(projections[i:i + size], X) for i in range(0, len(projections), size)]
+    n, p = X.shape
+    size = max(1, p // stack.shape[1])
+    groups = (stack[i:i + size] for i in range(0, len(stack), size))
+    return [
+        helper.submit(pj._apply_stack, group, X, out=np.empty((n, group.shape[0] * group.shape[1])))
+        for group in groups
+    ]
+
+
+def _images(pending):
+    """The (k, n, d) images of the products in ``pending`` once they are done.
+
+    One group's images are a view of its product; only a block that spans
+    several groups (B2 > p // d) is concatenated.
+    """
+    _blas.wait(pending)
+    groups = [future.result() for future in pending]
     return groups[0] if len(groups) == 1 else np.concatenate(groups)
+
+
+def _projected(X, stack):
+    """The (k, n, d) images of X by a (k, d, p) stack, one product per group, on the caller."""
+    return _images(_submit_products(X, stack, _blas.INLINE))
+
+
+def _stack(projections):
+    """The (k, d, p) stack of the entries of k projections of one d."""
+    return np.stack([proj.entries for proj in projections])
 
 
 def _lda_votes(projections, models):
@@ -207,7 +240,7 @@ def _lda_votes(projections, models):
         out = (f >= 0.0).T
         for i in np.flatnonzero(near.any(axis=0)):
             idx = np.flatnonzero(near[:, i])
-            Z = pj._apply_stack([projections[i]], rows[idx])[0]
+            Z = pj._apply_stack(projections[i].entries[None], rows[idx])[0]
             out[i, idx] = models[i].predict_many(Z) == 1
         return out
 
@@ -224,8 +257,10 @@ def _class1_votes(projections, base_models, X) -> np.ndarray:
     if all(isinstance(model, bc.LdaModel) for model in base_models):
         chunk_votes = _lda_votes(projections, base_models)
     else:
+        stack = _stack(projections)
+
         def chunk_votes(rows):
-            images = _projected(rows, projections)
+            images = _projected(rows, stack)
             return [model.predict_many(Z) == 1 for model, Z in zip(base_models, images)]
     votes = np.empty((len(projections), X.shape[0]), dtype=bool)
     for start in range(0, X.shape[0], _ROW_CHUNK):
@@ -319,35 +354,51 @@ def _run_blocks(cfg, X, y, b1s, key_head=()) -> list:
     """Evaluate blocks ``b1s`` of B2 keyed candidates, in waves of whole blocks.
 
     A wave holds max(1, (p // d) // B2) blocks.  Its candidates are sampled
-    together and projected with one product per p // d of them (see
-    _projected), so a wave's product is no wider than X unless a single
-    block's is (B2 > p // d).  Each block's images, a slice of the wave's
-    view, are copied out in turn by _select and selected on their own.
+    together into one (k, d, p) stack and projected with one product per
+    p // d of them (see _submit_products), so a wave's product is no wider
+    than X unless a single block's is (B2 > p // d).  The caller samples
+    the next wave and allocates its products, and the helper thread of
+    _blas.helper fills them while the caller selects this wave's blocks:
+    each block's images, a slice of the wave's view, are copied out in
+    turn by _select and selected on their own.  Only a block's winner
+    becomes a Projection, drawn again from its key.
     """
     p = X.shape[1]
     per_wave = max(1, (p // cfg.d) // cfg.B2)
+    waves = [b1s[i:i + per_wave] for i in range(0, len(b1s), per_wave)]
+    sample = pj.sample_haar if cfg.projection_kind == "haar" else pj.sample_axis_aligned
     # Only kNN reads a tie seed, so lda and qda derive none.
     knn = cfg.base == "knn"
     blocks = []
-    for start in range(0, len(b1s), per_wave):
-        wave = b1s[start:start + per_wave]
-        keys = [(*key_head, b1, b2) for b1 in wave for b2 in range(cfg.B2)]
-        projections = _sample_projections(cfg, p, [(*key, _TAG_PROJECTION) for key in keys])
-        specs = [
-            _base_spec(cfg, derive_int(cfg.master_seed, *key, _TAG_TIEBREAK) if knn else 0)
-            for key in keys
-        ]
-        images = _projected(X, projections)
-        for i, b1 in enumerate(wave):
-            block = slice(i * cfg.B2, (i + 1) * cfg.B2)
-            try:
-                blocks.append(_select(
-                    images[block], y, zip(projections[block], specs[block]), cfg.estimator_name,
-                ))
-            except BlockFailureError as exc:
-                raise BlockFailureError(f"{exc} in block {b1}") from None
-        # The next wave's sampling should not find this wave's product held.
-        del images, projections
+    with _blas.helper() as helper:
+
+        def start(wave):
+            keys = [(*key_head, b1, b2) for b1 in wave for b2 in range(cfg.B2)]
+            stack = _sample_projections(cfg, p, [(*key, _TAG_PROJECTION) for key in keys])
+            # The helper holds the stack until its products are filled.
+            return keys, _submit_products(X, stack, helper)
+
+        ahead = start(waves[0])
+        for i, wave in enumerate(waves):
+            keys, pending = ahead
+            if i + 1 < len(waves):
+                ahead = start(waves[i + 1])
+            images = _images(pending)
+            specs = [
+                _base_spec(cfg, derive_int(cfg.master_seed, *key, _TAG_TIEBREAK) if knn else 0)
+                for key in keys
+            ]
+            for j, b1 in enumerate(wave):
+                block = slice(j * cfg.B2, (j + 1) * cfg.B2)
+                try:
+                    blk = _select(images[block], y, zip(keys[block], specs[block]), cfg.estimator_name)
+                except BlockFailureError as exc:
+                    raise BlockFailureError(f"{exc} in block {b1}") from None
+                rng = make_rng(cfg.master_seed, *blk.projection, _TAG_PROJECTION)
+                blocks.append(replace(blk, projection=sample(p, cfg.d, rng)))
+            # The wave after next, sampled at the top of the next pass, should
+            # not find this wave's product held.
+            del images, pending
     return blocks
 
 
@@ -368,7 +419,7 @@ def select_block_winner(X, y, block, base_spec, estimator, point_ids=None):
         raise InvalidDimensionError(f"a block's projections must share one dimension, got {dims}")
     X, y = _training_data(X, y, ())
     candidates = ((proj, base_spec) for proj in block)
-    blk = _select(_projected(X, block), y, candidates, estimator, point_ids)
+    blk = _select(_projected(X, _stack(block)), y, candidates, estimator, point_ids)
     return blk.projection, blk.estimate, blk.model
 
 

@@ -17,18 +17,16 @@ do not depend on it.
 
 In a repetition the caller draws the test sample, handing each product
 of a model-4 draw to one helper thread owned by ``run``, then draws the
-training sample and fits the comparators while the products run. The
-ensembles fit after the fill, with nothing beside them, so their fit
-time does not hang on a second CPU. The results equal a serial run's
-bit for bit; a process allowed one CPU runs the products inline.
+training sample and fits the comparators while the products run. Once
+the test sample is in, each comparator is scored and dropped, and then
+each ensemble fits and is scored in turn; a fit runs its own helper for
+its projection products (see ``ensemble``). The results equal a serial
+run's bit for bit; a process allowed one CPU runs the products inline.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -150,18 +148,13 @@ def comparator_knn_cv(Z, y, tie_seed: int = 0) -> int:
 
 def _draw_split(spec: ExperimentSpec, pool, rep: int, helper):
     """(X_tr, y_tr, X_te, y_te, pending). A generative test sample's features
-    fill on ``helper`` and may be read once every future in ``pending`` is
-    done; ``pending`` is empty when they are already in."""
+    fill through ``helper`` and may be read once every future in ``pending``
+    is done."""
     if isinstance(spec.source, dg.ModelSpec):
         y_te, X_te, calls = dg._start_sample(
             spec.source, spec.n_test, make_rng(spec.master_seed, "test", rep)
         )
-        pending = []
-        for call in calls:  # the normals are drawn here, between calls
-            if helper is None:
-                call()
-            else:
-                pending.append(helper.submit(call))
+        pending = [helper.submit(call) for call in calls]  # the normals are drawn between calls
         train = dg.sample(spec.source, spec.n_train, make_rng(spec.master_seed, "train", rep))
         return train.X, train.y, X_te, y_te, pending
     X, y = pool
@@ -193,42 +186,36 @@ def _eval_comparator(comp: ComparatorSpec, X_tr, y_tr, seed_key):
     return bc.fit_knn(X_tr, y_tr, k=k, tie_seed=tie_seed).predict_many
 
 
-def _wait(pending) -> None:
-    """Wait for every future in ``pending``, raising the first one's
-    exception. It polls: on a shared 2-vCPU VM, blocking here let the vCPU
-    idle, and the ensemble fit that follows ran slower and less steadily."""
-    for future in pending:
-        while not future.done():
-            time.sleep(0)  # gives up the interpreter lock
-        future.result()
-
-
 def _run_rep(spec: ExperimentSpec, pool, rep: int, helper) -> dict:
     X_tr, y_tr, X_te, y_te, pending = _draw_split(spec, pool, rep, helper)
-    # Comparators fit while the test features fill, ensembles after it;
-    # a refusal or failure scores NaN.
-    predictors = {}
-    for m in sorted(spec.methods, key=lambda m: isinstance(m.config, en.EnsembleConfig)):
+
+    def fitted(fit, *args):
+        """fit(*args), a function from test rows to labels, or None when it fails."""
+        try:
+            return fit(*args)
+        except RpensError:
+            return None
+
+    def test_error(predict):
+        try:
+            return math.nan if predict is None else float(np.mean(predict(X_te) != y_te))
+        except RpensError:
+            return math.nan
+
+    # Comparators fit while the test features fill. Once they are in, each
+    # is scored and dropped before the first ensemble fits; a refusal or
+    # failure scores NaN.
+    predictors = {
+        m.method_id: fitted(_eval_comparator, m.config, X_tr, y_tr, (spec.master_seed, "knn_tie", rep))
+        for m in spec.methods if not isinstance(m.config, en.EnsembleConfig)
+    }
+    _blas.wait(pending)
+    out = {method_id: test_error(predictors.pop(method_id)) for method_id in list(predictors)}
+    for m in spec.methods:
         if isinstance(m.config, en.EnsembleConfig):
-            _wait(pending)
-        try:
-            if isinstance(m.config, en.EnsembleConfig):
-                seed = derive_int(spec.master_seed, "ensemble", rep, m.config.master_seed)
-                model = en.fit(X_tr, y_tr, replace(m.config, master_seed=seed))
-                predictors[m.method_id] = partial(en.predict_many, model)
-            else:
-                predictors[m.method_id] = _eval_comparator(
-                    m.config, X_tr, y_tr, (spec.master_seed, "knn_tie", rep)
-                )
-        except RpensError:
-            predictors[m.method_id] = None
-    _wait(pending)
-    out = {}
-    for method_id, predict in predictors.items():
-        try:
-            out[method_id] = math.nan if predict is None else float(np.mean(predict(X_te) != y_te))
-        except RpensError:
-            out[method_id] = math.nan
+            seed = derive_int(spec.master_seed, "ensemble", rep, m.config.master_seed)
+            cfg = replace(m.config, master_seed=seed)
+            out[m.method_id] = test_error(fitted(lambda: partial(en.predict_many, en.fit(X_tr, y_tr, cfg))))
     if all(math.isnan(v) for v in out.values()):
         raise ExperimentError(
             f"every method failed or refused in repetition {rep}"
@@ -244,11 +231,7 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         sample = dg.load_labelled_csv(spec.source.path)
         pool = (sample.X, sample.y)
 
-    # The executor starts its thread at the first fill, and leaving the block joins it.
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        has_mask = hasattr(os, "sched_getaffinity")  # Linux; elsewhere count every CPU
-        cpus = len(os.sched_getaffinity(0)) if has_mask else (os.cpu_count() or 1)
-        helper = executor if cpus >= 2 else None
+    with _blas.helper() as helper:
         rep_results = [_run_rep(spec, pool, rep, helper) for rep in range(spec.repetitions)]
 
     errors = {

@@ -47,10 +47,7 @@ class Projection:
             raise InvalidDimensionError(f"need 1 <= d <= p, got d={d}, p={p}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown projection kind: {self.kind!r}")
-        gram = entries @ entries.T
-        # Written as "not <=" so that a NaN entry fails too.
-        if not np.max(np.abs(gram - np.eye(d))) <= ORTHONORMALITY_TOL:
-            raise ValueError("projection rows are not orthonormal")
+        _check_orthonormal(entries)
         if self.kind == "axis_aligned":
             _check_axis_aligned(entries)
         entries = entries.copy()
@@ -67,6 +64,14 @@ class Projection:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return apply(self, X)
+
+
+def _check_orthonormal(entries: np.ndarray) -> None:
+    """Refuse a (d, p) matrix, or a (k, d, p) stack of them, whose rows are not orthonormal."""
+    gram = entries @ np.swapaxes(entries, -1, -2)
+    # Written as "not <=" so that a NaN entry fails too.
+    if not np.max(np.abs(gram - np.eye(entries.shape[-2]))) <= ORTHONORMALITY_TOL:
+        raise ValueError("projection rows are not orthonormal")
 
 
 def _check_axis_aligned(entries: np.ndarray) -> None:
@@ -91,16 +96,18 @@ def sample_haar(p: int, d: int, rng: np.random.Generator) -> Projection:
     the map equivariant under right rotation of the Gaussian draw, which
     pins the output distribution to the rotation-invariant one.
     """
-    return _sample_haar_stack(p, d, [rng])[0]
+    return Projection(entries=_sample_haar_stack(p, d, [rng])[0], kind="haar")
 
 
-def _sample_haar_stack(p: int, d: int, rngs) -> list:
-    """One Haar projection per generator, as sample_haar draws it from each.
+def _sample_haar_stack(p: int, d: int, rngs) -> np.ndarray:
+    """The read-only (k, d, p) stack of the matrices sample_haar draws from k generators.
 
-    Every generator draws its own Gaussian, and one stacked QR call
-    orthonormalises them all.  numpy factors each matrix of a stack on its
-    own, so each projection equals sample_haar's from the same generator
-    bit for bit.
+    Every generator draws its own Gaussian, one stacked QR call
+    orthonormalises them all and one stacked Gram check refuses the stack
+    if any matrix's rows are not orthonormal.  numpy factors each matrix of
+    a stack on its own, so matrix i equals sample_haar's from generator i
+    bit for bit.  The stack is C-contiguous, so its (k d, p) reshape is a
+    view.
     """
     if not 1 <= d <= p:
         raise InvalidDimensionError(f"need 1 <= d <= p, got d={d}, p={p}")
@@ -110,7 +117,10 @@ def _sample_haar_stack(p: int, d: int, rngs) -> list:
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
     q *= signs[:, None, :]
-    return [Projection(entries=a, kind="haar") for a in np.swapaxes(q, -1, -2)]
+    stack = np.ascontiguousarray(np.swapaxes(q, -1, -2))
+    _check_orthonormal(stack)
+    stack.flags.writeable = False
+    return stack
 
 
 def sample_axis_aligned(p: int, d: int, rng: np.random.Generator) -> Projection:
@@ -130,23 +140,28 @@ def apply(projection: Projection, X: np.ndarray) -> np.ndarray:
     an (n, d) array whose row i is A x_i.
     """
     X = np.asarray(X, dtype=np.float64)
+    stack = projection.entries[None]
     if X.ndim == 1:
-        return _apply_stack([projection], X[None, :])[0, 0]
-    return _apply_stack([projection], X)[0]
+        return _apply_stack(stack, X[None, :])[0, 0]
+    return _apply_stack(stack, X)[0]
 
 
-def _apply_stack(projections, X: np.ndarray) -> np.ndarray:
-    """Project an (n, p) array by k projections of one d with one matrix product.
+def _apply_stack(stack: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
+    """Project an (n, p) array by a (k, d, p) stack of matrices with one matrix product.
 
-    Stacks the projections' entries into one matrix S, computes X @ S.T
-    once and returns the (k, n, d) view of that product whose [i] is
-    projection i's image.  Nothing is copied: an image is C-contiguous
-    only when k is 1, and a consumer that needs a contiguous stack copies
-    the images it reads.  Each equals its own product X @ A.T except that
-    BLAS may move the last bits with the shape of the product.
+    Computes X @ S.T, where S is the (k d, p) reshape of the stack (a view
+    when the stack is C-contiguous), into ``out`` when it is given (a
+    C-contiguous (n, k d) float64 array), and returns the (k, n, d) view of
+    the product whose [i] is matrix i's image.  Nothing else is allocated,
+    so a caller that runs this on another thread can allocate ``out``
+    itself.  An image is C-contiguous only when k is 1, and a consumer that
+    needs a contiguous stack copies the images it reads.  Each equals its
+    own product X @ A.T except that BLAS may move the last bits with the
+    shape of the product.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or any(proj.p != X.shape[1] for proj in projections):
-        raise ShapeMismatchError(f"expected points with {projections[0].p} features, got shape {X.shape}")
-    image = X @ np.concatenate([proj.entries for proj in projections]).T
-    return image.reshape(X.shape[0], len(projections), projections[0].d).swapaxes(0, 1)
+    k, d, p = stack.shape
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ShapeMismatchError(f"expected points with {p} features, got shape {X.shape}")
+    image = np.matmul(X, stack.reshape(k * d, p).T, out=out)
+    return image.reshape(X.shape[0], k, d).swapaxes(0, 1)

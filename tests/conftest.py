@@ -2,6 +2,8 @@
 
 import base64
 import json
+import os
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,21 @@ from rpens import base_classifiers as bc
 from rpens.errors import InvalidDimensionError, SingularCovarianceError
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves more threads alive than it found, such as a
+    helper thread that outlived its fit or its run."""
+    before = threading.active_count()
+    yield
+    alive = threading.active_count()
+    assert alive <= before, f"{alive - before} thread(s) outlived the test: {threading.enumerate()}"
+
+
+def set_cpus(monkeypatch, count):
+    """Make the library see ``count`` CPUs in the process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 @pytest.fixture

@@ -17,8 +17,9 @@ from rpens import datagen as dg
 from rpens import ensemble as en
 from rpens import errors
 from rpens import evaluation as ev
+from rpens import projections
 
-from conftest import make_blobs
+from conftest import make_blobs, set_cpus
 
 needs_openblas = pytest.mark.skipif(
     not _blas.LIBRARIES, reason="no bundled OpenBLAS found; pinning is a no-op"
@@ -142,6 +143,23 @@ class TestPinLifecycle:
         assert inside and all(c == [1] * len(two_threads) for c in inside)
         assert _counts() == two_threads
         assert _blas._depth == 0
+
+    def test_helper_products_run_on_one_thread(self, two_threads, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        seen = []
+        apply_stack = projections._apply_stack
+
+        def probing(stack, X, out=None):
+            seen.append((threading.current_thread(), _counts()))
+            return apply_stack(stack, X, out=out)
+
+        monkeypatch.setattr(projections, "_apply_stack", probing)
+        X, y = make_blobs(20, 6, 2.0, seed=50)
+        en.fit(X, y, en.EnsembleConfig(B1=5, B2=2, d=2, base="qda"))
+        assert len(seen) == 5  # a product of two candidates per wave of one block
+        assert threading.main_thread() not in [thread for thread, _ in seen]
+        assert all(counts == [1] * len(two_threads) for _, counts in seen)
+        assert _counts() == two_threads
 
     def test_failed_fit_restores(self, two_threads):
         X, y, cfg = _blobs_cfg()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import log_expit
 
 from rpens import _blas
 from rpens import datagen as dg
@@ -252,6 +253,22 @@ class TestDensities:
         f2 = np.exp(dg.log_density(spec, 2, probes))
         want = 0.35 * f1 / (0.35 * f1 + 0.65 * f2)
         np.testing.assert_allclose(dg.eta(spec, probes), want, atol=1e-12)
+
+    @pytest.mark.parametrize("model_id,p", [(1, 4), (2, 6), (3, 6), (4, 50)])
+    def test_eta_equals_the_two_density_formula_bit_for_bit(self, model_id, p):
+        # Model 4 rotates the probes back once for both classes.
+        spec = dg.ModelSpec(model_id=model_id, p=p, pi_1=0.45)
+        probes = _gen(13).normal(size=(40, p)) * 1.5
+
+        def formula(X):
+            margin = (
+                math.log(0.45) + dg.log_density(spec, 1, X)
+                - math.log(0.55) - dg.log_density(spec, 2, X)
+            )
+            return np.exp(log_expit(margin))
+
+        assert dg.eta(spec, probes).tobytes() == formula(probes).tobytes()
+        assert dg.eta(spec, probes[7]) == formula(probes[7])
 
     @pytest.mark.parametrize("model_id,p", [(1, 4), (2, 6), (3, 6), (4, 6)])
     def test_mean_posterior_recovers_prior(self, model_id, p):

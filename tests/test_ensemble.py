@@ -1,4 +1,6 @@
 import itertools
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,12 +14,12 @@ from hypothesis import strategies as st
 from rpens import base_classifiers as bc
 from rpens import ensemble as en
 from rpens import error_estimation as ee
-from rpens import datagen, errors, projections, rng, serialize
+from rpens import datagen, errors, evaluation, projections, rng, serialize
 
 from conftest import (
     EXACT_PATHS, alpha_candidates, alpha_objective, assert_equals_explicit_qda_refits,
     boundary_points, count_loo_refits, make_blobs, pooled_covariance, rank_deficient_sample,
-    spy_rows,
+    set_cpus, spy_rows,
 )
 
 
@@ -158,9 +160,9 @@ class TestStackedProjection:
         groups = []
         apply_stack = projections._apply_stack
 
-        def counting_apply_stack(projs, X):
-            groups.append(len(projs))
-            return apply_stack(projs, X)
+        def counting_apply_stack(stack, X, out=None):
+            groups.append(len(stack))
+            return apply_stack(stack, X, out=out)
 
         monkeypatch.setattr(projections, "_apply_stack", counting_apply_stack)
         return groups
@@ -169,9 +171,9 @@ class TestStackedProjection:
         groups = []
         apply_stack = projections._apply_stack
 
-        def counting_apply_stack(projs, X):
-            groups.append(len(projs))
-            return apply_stack(projs, X)
+        def counting_apply_stack(stack, X, out=None):
+            groups.append(len(stack))
+            return apply_stack(stack, X, out=out)
 
         def refuse_apply(*args, **kwargs):
             raise AssertionError("projections.apply called")
@@ -220,7 +222,8 @@ class TestStackedProjection:
         for b1 in range(cfg.B1):
             counts = []
             for b2 in range(cfg.B2):
-                proj = en._sample_projections(cfg, p, [(b1, b2, en._TAG_PROJECTION)])[0]
+                entries = en._sample_projections(cfg, p, [(b1, b2, en._TAG_PROJECTION)])[0]
+                proj = projections.Projection(entries=entries, kind=cfg.projection_kind)
                 spec = en._base_spec(cfg, rng.derive_int(cfg.master_seed, b1, b2, en._TAG_TIEBREAK))
                 try:
                     est, _, _ = ee._estimate_full(proj.apply(X), y, spec, cfg.estimator_name)
@@ -249,6 +252,115 @@ class TestStackedProjection:
         assert [c is None for c in seen] == [False, True, False, False]
         ref = _scalar_reference(monkeypatch, lambda: en.fit(X, y, cfg))
         assert serialize.dumps(m) == serialize.dumps(ref)
+
+
+class TestWavePipeline:
+    """The helper fills the next wave's products while the caller selects a
+    wave; with one CPU the products run inline, and the fits are identical."""
+
+    @staticmethod
+    def _product_threads(monkeypatch):
+        """The thread of every stacked product from now on."""
+        threads = []
+        apply_stack = projections._apply_stack
+
+        def recording(stack, X, out=None):
+            threads.append(threading.current_thread())
+            return apply_stack(stack, X, out=out)
+
+        monkeypatch.setattr(projections, "_apply_stack", recording)
+        return threads
+
+    def _on_one_and_two_cpus(self, monkeypatch, run):
+        """run()'s result with one CPU and with two: the products of fits run
+        on the helper with two (a prediction's still run on the caller)."""
+        threads = self._product_threads(monkeypatch)
+        results = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            results.append(run())
+            on_main = [t is threading.main_thread() for t in threads]
+            assert on_main and all(on_main) == (cpus == 1)
+            threads.clear()
+        return results
+
+    # (p, B1, B2, d): waves of three blocks, B1 not a multiple of the wave,
+    # and blocks of several groups (B2 > p // d).
+    @pytest.mark.parametrize("p, B1, B2, d", [(12, 6, 2, 2), (12, 7, 2, 2), (6, 3, 7, 2)])
+    @pytest.mark.parametrize("kind", ["haar", "axis_aligned"])
+    @pytest.mark.parametrize("base", ["lda", "qda", "knn"])
+    def test_helper_and_inline_fits_are_identical(self, monkeypatch, base, kind, p, B1, B2, d):
+        X, y = make_blobs(14, p, 1.0, seed=70)
+        cfg = en.EnsembleConfig(B1=B1, B2=B2, d=d, base=base, projection_kind=kind, master_seed=6)
+        one, two = self._on_one_and_two_cpus(monkeypatch, lambda: serialize.dumps(en.fit(X, y, cfg)))
+        assert one == two
+
+    def test_select_d_profile_and_theorem1_diagnostic_are_identical(self, monkeypatch):
+        X, y = make_blobs(14, 12, 1.0, seed=71)
+        cfg = en.EnsembleConfig(B1=7, B2=2, d=2, base="qda", master_seed=4)
+        one, two = self._on_one_and_two_cpus(monkeypatch, lambda: en.select_d_profile(X, y, [1, 2, 5], cfg))
+        assert one[0] == two[0] and {d: v.tolist() for d, v in one[1].items()} == {
+            d: v.tolist() for d, v in two[1].items()
+        }
+        model = datagen.ModelSpec(model_id=1, p=8, mean_shift=2.0)
+        diagnose = lambda: evaluation.theorem1_rate_diagnostic(  # noqa: E731
+            model, replace(cfg, alpha=0.5), n_train=30, b1_grid=[1, 2, 3, 4], mc_test=50, n_ensembles=2,
+        )
+        one, two = self._on_one_and_two_cpus(monkeypatch, diagnose)
+        assert one == two
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_thread_outlives_a_fit(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        X, y = make_blobs(14, 12, 1.0, seed=72)
+        cfg = en.EnsembleConfig(B1=7, B2=2, d=2, base="lda", master_seed=5)
+        before = threading.active_count()
+        en.fit(X, y, cfg)
+        assert threading.active_count() == before
+        # The fifth block, in the second wave of three, fails while the
+        # third wave's product runs.
+        select = en._select
+        calls = []
+
+        def failing_fifth(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise errors.BlockFailureError("all 2 candidate projections failed")
+            return select(*args, **kwargs)
+
+        apply_stack = projections._apply_stack
+
+        def slow(stack, X, out=None):
+            time.sleep(0.05)
+            return apply_stack(stack, X, out=out)
+
+        monkeypatch.setattr(en, "_select", failing_fifth)
+        monkeypatch.setattr(projections, "_apply_stack", slow)
+        with pytest.raises(errors.BlockFailureError, match="in block 4$"):
+            en.fit(X, y, cfg)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_product_exception_reaches_the_caller_unchanged(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        X, y = make_blobs(14, 12, 1.0, seed=72)
+        cfg = en.EnsembleConfig(B1=7, B2=2, d=2, base="lda", master_seed=5)
+        boom = MemoryError("second product failed")
+        apply_stack = projections._apply_stack
+        calls = []
+
+        def failing_second(stack, X, out=None):
+            calls.append(None)
+            if len(calls) == 2:
+                raise boom
+            return apply_stack(stack, X, out=out)
+
+        monkeypatch.setattr(projections, "_apply_stack", failing_second)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            en.fit(X, y, cfg)
+        assert info.value is boom
+        assert threading.active_count() == before
 
 
 def _spy_stacked_counts(monkeypatch):
@@ -345,7 +457,7 @@ class TestStackedScorer:
             projections.Projection(entries=np.eye(2)),
         ]
         candidates = [(proj, bc.BaseSpec("qda")) for proj in block]
-        images = list(en._projected(Z, block))
+        images = list(en._projected(Z, en._stack(block)))
         seen = _spy_stacked_counts(monkeypatch)
         blk = en._select(images, y, candidates, "leave_one_out")
         assert len(seen) == 1 and seen[0] is None
@@ -377,7 +489,7 @@ class TestStackedScorer:
             projections.Projection(entries=np.array([[0.0, 1.0], [1.0, 0.0]])),
         ]
         candidates = [(proj, bc.BaseSpec("qda")) for proj in block]
-        images = list(en._projected(Z, block))
+        images = list(en._projected(Z, en._stack(block)))
         seen = _spy_stacked_counts(monkeypatch)
         blk = en._select(images, y, candidates, "leave_one_out")
         assert len(seen) == 1 and seen[0] is None
@@ -394,7 +506,7 @@ class TestStackedScorer:
         X = np.stack([grid, np.random.default_rng(4).normal(size=8)], axis=1)
         assert 0.0 in bc._lda_discriminant(bc.fit_lda(X[:, :1], y), X[:, :1])
         candidates = [(_axis_projection(2, c), bc.BaseSpec("lda")) for c in (1, 0)]
-        images = list(en._projected(X, [proj for proj, _ in candidates]))
+        images = list(en._projected(X, en._stack([proj for proj, _ in candidates])))
         seen = _spy_stacked_counts(monkeypatch)
         blk = en._select(images, y, candidates, "resubstitution")
         assert len(seen) == 1 and seen[0] is None
@@ -518,7 +630,7 @@ class TestFit:
         m = en.fit(X, y, cfg)
         for b1, w in enumerate(m.winner_indices):
             again = en._sample_projections(cfg, 5, [(b1, w, en._TAG_PROJECTION)])[0]
-            np.testing.assert_array_equal(m.projections[b1].entries, again.entries)
+            np.testing.assert_array_equal(m.projections[b1].entries, again)
 
     def test_vote_counts_recount_lda(self):
         X, y = make_blobs(15, 5, 1.5, seed=53)
@@ -630,7 +742,8 @@ class TestFit:
     @pytest.mark.parametrize("base", ["lda", "qda"])
     def test_fit_peaks_under_two_point_two_samples(self, base):
         # Images stay a view of each wave's product and every block is
-        # copied out once: 1.81 (lda) and 1.96 (qda) times X.  A contiguous
+        # copied out once: 1.76 (lda) and 1.89 (qda) times X, with the
+        # second wave's product filled beside the first's.  A contiguous
         # copy of the whole wave would peak at 2.41.
         s = datagen.sample(datagen.ModelSpec(model_id=4, p=400), 1000, rng.make_rng(90))
         cfg = en.EnsembleConfig(B1=10, B2=10, d=5, base=base, master_seed=3)
@@ -642,6 +755,22 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert peak <= 2.2 * s.X.nbytes
+
+    @pytest.mark.parametrize("base", ["lda", "qda"])
+    def test_full_wave_fit_peaks_under_three_point_three_samples(self, base):
+        # Each wave's product is as wide as X (p // d = 100 candidates), and
+        # the next wave's is filled while this one's is read: 3.03 (lda) and
+        # 3.17 (qda) times X, against 2.32 with one product at a time.
+        s = datagen.sample(datagen.ModelSpec(model_id=4, p=500), 1000, rng.make_rng(91))
+        cfg = en.EnsembleConfig(B1=50, B2=10, d=5, base=base, master_seed=3)
+        en.fit(s.X, s.y, cfg)  # warms the caches
+        tracemalloc.start()
+        try:
+            en.fit(s.X, s.y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * s.X.nbytes
 
     def test_labels_of_any_numeric_dtype_fit_alike_and_are_copied(self):
         X, y = make_blobs(15, 5, 1.0, seed=59)

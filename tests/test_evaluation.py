@@ -1,6 +1,8 @@
 import math
 import threading
 import time
+import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,6 +14,8 @@ from rpens import ensemble as en
 from rpens import errors
 from rpens import evaluation as ev
 from rpens import rng as rng_mod
+
+from conftest import set_cpus
 
 
 def _gauss_model(p=4):
@@ -214,11 +218,6 @@ class TestRun:
         assert se == 0.0 and n_valid == 1
 
 
-def _cpus(monkeypatch, count):
-    """Make ``run`` see ``count`` CPUs in the process's affinity mask."""
-    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 class TestTestSampleFill:
     """The test features fill on a helper thread, or inline on one CPU, and
     the ensembles fit after the fill."""
@@ -266,7 +265,7 @@ class TestTestSampleFill:
         self._record_fill_calls(monkeypatch, events)
         results, threads = {}, {}
         for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
+            set_cpus(monkeypatch, cpus)
             results[cpus] = ev.run(spec).errors
             threads[cpus] = [t for e, t in events if e == "start"]
             events.clear()
@@ -278,9 +277,9 @@ class TestTestSampleFill:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_ensembles_fit_after_the_fill(self, monkeypatch, cpus):
-        # Nothing fills beside an ensemble fit, so its time does not depend
-        # on a second CPU being free.
-        _cpus(monkeypatch, cpus)
+        # Nothing fills beside an ensemble fit, so the second CPU is free
+        # for the fit's own helper.
+        set_cpus(monkeypatch, cpus)
         events = []
         self._record_fill_calls(monkeypatch, events, delay=0.02)  # a fill slower than a fit
         seen = []
@@ -297,8 +296,39 @@ class TestTestSampleFill:
         assert all(e == ["start", "end"] * (len(e) // 2) for e in seen)
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    def test_comparators_are_dropped_before_the_ensembles_fit(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        models = []
+        eval_comparator = ev._eval_comparator
+
+        def recording(*args):
+            predict = eval_comparator(*args)
+            models.append(weakref.ref(predict.__self__))
+            return predict
+
+        alive = []
+        fit = en.fit
+
+        def recording_fit(*args, **kwargs):
+            alive.append([model() is not None for model in models])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "_eval_comparator", recording)
+        monkeypatch.setattr(en, "fit", recording_fit)
+        spec = replace(self._spec(dg.ModelSpec(model_id=4, p=6)), methods=(
+            _rp_method("rp"),
+            ev.MethodSpec("lda", ev.ComparatorSpec("lda")),
+            ev.MethodSpec("knn", ev.ComparatorSpec("knn", k=3)),
+            _rp_method("rp2", base="qda", master_seed=3),
+        ))
+        result = ev.run(spec).errors
+        assert all(np.isfinite(err).all() for err in result.values())
+        assert len(models) == 6 and len(alive) == 6
+        assert not any(any(fit_saw) for fit_saw in alive)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_no_thread_outlives_run(self, monkeypatch, cpus):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         before = threading.active_count()
         ev.run(self._spec(_gauss_model()))
         assert threading.active_count() == before
@@ -313,7 +343,7 @@ class TestTestSampleFill:
     @pytest.mark.parametrize("source", [_gauss_model(), dg.ModelSpec(model_id=4, p=6)])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_fill_exception_surfaces_unchanged(self, monkeypatch, cpus, source):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         boom = MemoryError("test draw failed")
 
         def failing(*args):

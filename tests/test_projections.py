@@ -41,28 +41,15 @@ def _haar_by_one_qr(p, d, gen):
 @pytest.mark.parametrize("p, d, B", [(50, 5, 50), (500, 5, 10), (50, 2, 100)])
 def test_stacked_haar_sampler_equals_per_candidate_draws(p, d, B):
     stacked = projections._sample_haar_stack(p, d, [rng.make_rng(12, p, b) for b in range(B)])
-    assert len(stacked) == B
-    for b, proj in enumerate(stacked):
+    assert stacked.shape == (B, d, p) and stacked.flags.c_contiguous and not stacked.flags.writeable
+    for b, entries in enumerate(stacked):
         one = projections.sample_haar(p, d, rng.make_rng(12, p, b))
-        np.testing.assert_array_equal(proj.entries, one.entries)
-        np.testing.assert_array_equal(proj.entries, _haar_by_one_qr(p, d, rng.make_rng(12, p, b)))
+        np.testing.assert_array_equal(entries, one.entries)
+        np.testing.assert_array_equal(entries, _haar_by_one_qr(p, d, rng.make_rng(12, p, b)))
 
 
 def test_stacked_haar_sampler_validates_every_candidate(monkeypatch):
-    def rngs():
-        return [rng.make_rng(13, b) for b in range(5)]
-
-    checked = []
-    post_init = projections.Projection.__post_init__
-
-    def counting(self):
-        checked.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(projections.Projection, "__post_init__", counting)
-    projections._sample_haar_stack(20, 3, rngs())
-    assert len(checked) == 5
-
+    # Only the last of five candidates is stretched; the stacked Gram check refuses the stack.
     qr = np.linalg.qr
 
     def last_factor_stretched(a, mode):
@@ -73,7 +60,7 @@ def test_stacked_haar_sampler_validates_every_candidate(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", last_factor_stretched)
     with pytest.raises(ValueError, match="not orthonormal"):
-        projections._sample_haar_stack(20, 3, rngs())
+        projections._sample_haar_stack(20, 3, [rng.make_rng(13, b) for b in range(5)])
 
 
 def test_axis_aligned_rows_are_basis_vectors():
